@@ -124,7 +124,7 @@ def test_batched_spt_speedup(benchmark, scale):
     Algorithm-1 kernels (``backend="numpy"``) — by >= 3x, bit-identically.
 
     With ``REPRO_BENCH_JOBS`` > 1 the same batch also goes through the
-    shared-memory arena + persistent pool fan-out and must agree.
+    persistent-pool fan-out and must agree.
     """
     from repro.core.allpairs import pairwise_vcg_payments
 

@@ -120,7 +120,6 @@ def run_tasks(
     fn: Callable[..., Any],
     tasks: Sequence[tuple[tuple, dict]],
     jobs: int | None = None,
-    chunksize: int | None = None,
 ) -> list:
     """Run ``fn(*args, **kwargs)`` for every task, serially or in a pool.
 
@@ -130,15 +129,13 @@ def run_tasks(
     pool (see :func:`get_pool`) executes the tasks and each worker-side
     metrics snapshot is merged into the parent registry.
 
-    ``chunksize=None`` auto-tunes to ``max(1, len(tasks) // (4 *
+    Tasks are shipped in chunks of ``max(1, len(tasks) // (4 *
     workers))`` — many-small-task sweeps stop paying one IPC round-trip
-    per task while keeping ~4 chunks per worker for load balance. Pass
-    an explicit value to override.
+    per task while keeping ~4 chunks per worker for load balance.
 
     ``fn``, every task's arguments, and every result must be picklable
-    (module-level functions and plain-data dataclasses are). Large
-    shared inputs — the graph, above all — should travel as a
-    :class:`repro.analysis.shm.ArenaHandle` instead of by value.
+    (module-level functions and plain-data dataclasses are); arguments
+    travel by value, graphs included.
 
     A worker crash surfaces as ``BrokenProcessPool``; the poisoned pool
     is discarded so the next call starts from a fresh one.
@@ -149,8 +146,7 @@ def run_tasks(
         return [fn(*args, **kwargs) for args, kwargs in tasks]
     collect = _metrics.enabled
     workers = min(n_jobs, len(tasks))
-    if chunksize is None:
-        chunksize = max(1, len(tasks) // (4 * workers))
+    chunksize = max(1, len(tasks) // (4 * workers))
     log.debug(
         "parallel fan-out",
         extra={

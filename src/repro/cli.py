@@ -372,14 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline (exceeded = HTTP 504)",
     )
     srv.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for /v1/price_many batches "
-        "(-1 = all cores)",
-    )
-    srv.add_argument(
         "--backend",
         choices=("auto", "python", "scipy", "numpy"),
         default="auto",
@@ -691,8 +683,8 @@ def _cmd_economy(args) -> int:
     traffic = TrafficMatrix.uniform(g.n, intensity=args.intensity)
     payments = None
     if args.jobs not in (0, 1):
-        # Fan the pricing out through the engine's shared-memory parallel
-        # path; aggregation below stays serial and bit-identical.
+        # Fan the pricing out over the engine's worker pool; aggregation
+        # below stays serial and bit-identical.
         from repro import api
 
         payments = api.price_all_pairs(
@@ -920,7 +912,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_queue=args.queue_depth,
             deadline_s=args.deadline,
-            jobs=args.jobs,
             degrade=DegradePolicy() if args.degrade else None,
         )
     except ReproError as exc:

@@ -28,7 +28,6 @@ from repro.core.link_vcg import (
     LinkPaymentTable,
 )
 from repro.core.fast_link_payment import fast_link_vcg_payments
-from repro.core.node_table import NodePaymentTable, all_sources_node_payments
 from repro.core.allpairs import (
     TrafficMatrix,
     pairwise_vcg_payments,
@@ -65,8 +64,6 @@ __all__ = [
     "all_sources_link_payments",
     "LinkPaymentTable",
     "fast_link_vcg_payments",
-    "NodePaymentTable",
-    "all_sources_node_payments",
     "TrafficMatrix",
     "pairwise_vcg_payments",
     "network_economy",

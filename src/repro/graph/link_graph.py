@@ -97,39 +97,6 @@ class LinkWeightedDigraph:
         return cls(n, zip(src.tolist(), dst.tolist(), costs[src, dst].tolist()))
 
     @classmethod
-    def from_csr(cls, n: int, indptr, indices, weights) -> "LinkWeightedDigraph":
-        """Wrap existing CSR arrays without copying them.
-
-        The arrays must already be a valid CSR adjacency produced by this
-        class (``int64`` index arrays, ``float64`` weights, rows sorted);
-        only shapes are checked. Zero-copy counterpart of
-        :meth:`repro.graph.node_graph.NodeWeightedGraph.from_csr`, used by
-        :mod:`repro.analysis.shm` to rebuild a digraph over a
-        shared-memory buffer.
-        """
-        n = int(n)
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if indptr.shape != (n + 1,):
-            raise InvalidGraphError(
-                f"indptr must have shape ({n + 1},), got {indptr.shape}"
-            )
-        if indices.shape != weights.shape or indices.shape != (int(indptr[-1]),):
-            raise InvalidGraphError(
-                f"indices/weights length {indices.shape[0]}/{weights.shape[0]} "
-                f"does not match indptr[-1]={int(indptr[-1])}"
-            )
-        dg = object.__new__(cls)
-        dg.n = n
-        dg.indptr, dg.indices, dg.weights = indptr, indices, weights
-        for a in (dg.indptr, dg.indices, dg.weights):
-            a.setflags(write=False)
-        dg._rev = None
-        dg._csr = None
-        return dg
-
-    @classmethod
     def from_undirected(
         cls, n: int, edges: Iterable[tuple[int, int, float]]
     ) -> "LinkWeightedDigraph":

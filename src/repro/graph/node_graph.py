@@ -118,46 +118,6 @@ class NodeWeightedGraph:
         """Build with ``n`` inferred from ``len(costs)``."""
         return cls(len(costs), edges, costs)
 
-    @classmethod
-    def from_csr(cls, n: int, costs, indptr, indices) -> "NodeWeightedGraph":
-        """Wrap existing CSR arrays without copying them.
-
-        The arrays must already be a valid symmetric CSR adjacency (as
-        produced by this class) with ``float64`` costs and ``int64``
-        index arrays; only shapes are checked. This is the zero-copy
-        entry point used by :mod:`repro.analysis.shm` to reconstruct a
-        graph over a shared-memory buffer — the returned graph *views*
-        the caller's arrays, it does not own fresh copies.
-        """
-        n = int(n)
-        costs = np.asarray(costs, dtype=np.float64)
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        if costs.shape != (n,):
-            raise InvalidGraphError(
-                f"costs must have shape ({n},), got {costs.shape}"
-            )
-        if indptr.shape != (n + 1,):
-            raise InvalidGraphError(
-                f"indptr must have shape ({n + 1},), got {indptr.shape}"
-            )
-        if indices.shape != (int(indptr[-1]) if n else 0,):
-            raise InvalidGraphError(
-                f"indices length {indices.shape[0]} does not match "
-                f"indptr[-1]={int(indptr[-1]) if n else 0}"
-            )
-        g = object.__new__(cls)
-        g.n = n
-        g.costs = costs
-        g.indptr = indptr
-        g.indices = indices
-        for a in (g.costs, g.indptr, g.indices):
-            a.setflags(write=False)
-        g._nx_cache = None
-        g._arc_src = None
-        g._tailcost = None
-        return g
-
     def with_costs(self, costs) -> "NodeWeightedGraph":
         """Same topology, different cost vector (used for declared costs)."""
         g = object.__new__(NodeWeightedGraph)

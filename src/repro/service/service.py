@@ -161,7 +161,7 @@ class _Ticket:
     """One unit of queued work, shared by every coalesced waiter."""
 
     __slots__ = (
-        "kind", "key", "pairs", "jobs", "deadline",
+        "kind", "key", "pairs", "deadline",
         "done", "result", "version", "error",
     )
 
@@ -169,7 +169,6 @@ class _Ticket:
         self.kind = kind  # "pair" | "batch"
         self.key: tuple[int, int] | None = None
         self.pairs: list[tuple[int, int]] | None = None
-        self.jobs: int | None = None
         self.deadline = deadline  # monotonic absolute
         self.done = threading.Event()
         self.result = None
@@ -179,6 +178,11 @@ class _Ticket:
 
 class PricingService:
     """Concurrent, deadline-aware pricing front end over one engine.
+
+    Every request, batches included, is priced in-process on the worker
+    thread that drains its ticket: the service never fans out over
+    worker processes. Callers that want process fan-out for one large
+    batch use :meth:`PricingEngine.price_many` with ``jobs=`` directly.
 
     Parameters
     ----------
@@ -196,9 +200,6 @@ class PricingService:
     deadline_s:
         Default per-request deadline (overridable per call); expiry
         raises :class:`~repro.errors.DeadlineExceededError` (504).
-    jobs:
-        ``jobs=`` forwarded to :meth:`PricingEngine.price_many` for
-        batch requests (``None`` = serial in-process).
     degrade:
         A :class:`DegradePolicy` enabling degraded-mode serving
         (stale-but-stamped answers when the queue is saturated or the
@@ -212,7 +213,6 @@ class PricingService:
         workers: int = 4,
         max_queue: int = 64,
         deadline_s: float = 30.0,
-        jobs: int | None = None,
         degrade: DegradePolicy | None = None,
     ) -> None:
         if workers < 1:
@@ -226,7 +226,6 @@ class PricingService:
                 f"deadline_s must be positive, got {deadline_s}"
             )
         self._engine = engine
-        self._jobs = jobs
         self._deadline_s = float(deadline_s)
         self._queue: queue.Queue[_Ticket | None] = queue.Queue(
             maxsize=int(max_queue)
@@ -457,7 +456,6 @@ class PricingService:
                 )
             ticket = _Ticket("batch", deadline)
             ticket.pairs = batch
-            ticket.jobs = self._jobs
             try:
                 self._queue.put_nowait(ticket)
             except queue.Full:
@@ -563,9 +561,7 @@ class PricingService:
                         )
                     else:
                         ticket.result, ticket.version = (
-                            self._engine.price_many_versioned(
-                                ticket.pairs, jobs=ticket.jobs
-                            )
+                            self._engine.price_many_versioned(ticket.pairs)
                         )
             except BaseException as exc:  # delivered to every waiter
                 ticket.error = exc

@@ -224,8 +224,16 @@ class TestPriceMany:
         assert eng.stats.cache_misses == misses
         assert eng.stats.cache_hits >= len(pairs)
 
-    def test_jobs_parallel_bit_identical(self):
-        g = gen.random_biconnected_graph(40, seed=5)
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            lambda: gen.random_biconnected_graph(40, seed=5),
+            lambda: gen.random_robust_digraph(30, extra_arc_prob=0.2, seed=5),
+        ],
+        ids=["node", "link"],
+    )
+    def test_jobs_parallel_bit_identical(self, make_graph):
+        g = make_graph()
         pairs = [(i, 0) for i in range(1, g.n)]
         serial = PricingEngine(g, on_monopoly="inf").price_many(pairs)
         par = PricingEngine(g, on_monopoly="inf").price_many(pairs, jobs=2)
@@ -237,26 +245,33 @@ class TestPriceMany:
             assert dict(a.payments) == dict(b.payments)
 
     def test_parallel_batches_reuse_pool_and_leak_nothing(self):
-        """Two consecutive parallel batches: the second reuses the
-        persistent worker pool, both are bit-identical to serial, and no
-        shared-memory segment survives either batch."""
-        import glob
-
-        from repro.analysis.shm import SEGMENT_PREFIX
+        """Two consecutive parallel batches: both are bit-identical to
+        serial, and the second reuses the persistent worker pool instead
+        of spawning another set of worker processes."""
+        from repro.obs.metrics import REGISTRY
 
         g = gen.random_biconnected_graph(36, seed=8)
         eng = PricingEngine(g, on_monopoly="inf")
         ref = PricingEngine(g, on_monopoly="inf")
-        before = set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
-        for lo, hi in [(1, 18), (18, 36)]:
-            pairs = [(i, 0) for i in range(lo, hi)]
-            par = eng.price_many(pairs, jobs=2)
-            ser = ref.price_many(pairs)
-            for key in pairs:
-                assert par[key].path == ser[key].path
-                assert par[key].lcp_cost == ser[key].lcp_cost
-                assert dict(par[key].payments) == dict(ser[key].payments)
-        assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == before
+        reuses = []
+        was_enabled = REGISTRY.enabled
+        REGISTRY.enable()
+        try:
+            for lo, hi in [(1, 18), (18, 36)]:
+                pairs = [(i, 0) for i in range(lo, hi)]
+                par = eng.price_many(pairs, jobs=2)
+                reuses.append(
+                    REGISTRY.snapshot().flat().get("parallel.pool_reuses", 0)
+                )
+                ser = ref.price_many(pairs)
+                for key in pairs:
+                    assert par[key].path == ser[key].path
+                    assert par[key].lcp_cost == ser[key].lcp_cost
+                    assert dict(par[key].payments) == dict(ser[key].payments)
+        finally:
+            if not was_enabled:
+                REGISTRY.disable()
+        assert reuses[1] == reuses[0] + 1
 
     def test_deduplicates_pairs(self, random_graph):
         eng = PricingEngine(random_graph)

@@ -139,14 +139,8 @@ class TestPersistentPool:
 
 
 class TestChunksize:
-    def test_explicit_chunksize_respected(self):
-        tasks = [((i,), {}) for i in range(10)]
-        assert run_tasks(_square, tasks, jobs=2, chunksize=5) == [
-            i * i for i in range(10)
-        ]
-
     def test_auto_chunksize_formula(self, monkeypatch):
-        """chunksize=None tunes to max(1, tasks // (4*workers))."""
+        """Chunks are max(1, tasks // (4*workers)) tasks long."""
         from repro.analysis import parallel as par
 
         seen = {}
@@ -161,10 +155,6 @@ class TestChunksize:
             run_tasks(_square, [((i,), {}) for i in range(n_tasks)],
                       jobs=jobs)
             assert seen["chunksize"] == expected
-        # explicit values pass straight through
-        run_tasks(_square, [((i,), {}) for i in range(32)], jobs=2,
-                  chunksize=9)
-        assert seen["chunksize"] == 9
 
     def test_auto_chunksize_results_match_serial(self):
         tasks = [((i,), {"offset": 2}) for i in range(33)]
