@@ -19,9 +19,11 @@ Subcommands:
   :class:`~repro.engine.PricingEngine` (``--compare-naive`` shadow-checks
   every answer against from-scratch pricing and reports the speedup;
   ``--save-trace``/``--trace`` write and reuse JSON-lines traces;
-  ``--serve PORT`` exposes live telemetry over HTTP — ``/metrics``,
-  ``/healthz``, ``/snapshot``, ``/flight`` — while the replay runs,
-  ``--serve-grace SECONDS`` keeps serving after it finishes;
+  ``--serve PORT`` fronts the engine with the ``serve`` command's HTTP
+  server — live telemetry (``/metrics``, ``/healthz``, ``/readyz``,
+  ``/snapshot``, ``/flight``) and the ``/v1`` API on one port — while
+  the replay runs, ``--serve-grace SECONDS`` keeps serving after it
+  finishes;
   ``--checkpoint-dir DIR`` makes the engine durable — every mutation is
   write-ahead logged there with ``--fsync`` policy and a checkpoint is
   cut every ``--checkpoint-every`` updates — and ``--recover`` resumes
@@ -287,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="PORT",
         default=None,
-        help="serve live telemetry (/metrics /healthz /snapshot /flight) "
-        "on 127.0.0.1:PORT during the replay (0 = ephemeral port; "
-        "implies metrics collection)",
+        help="serve live telemetry (/metrics /healthz /readyz /snapshot "
+        "/flight) and the /v1 pricing API on 127.0.0.1:PORT during the "
+        "replay (0 = ephemeral port; implies metrics collection)",
     )
     eng.add_argument(
         "--serve-grace",
         type=float,
         metavar="SECONDS",
         default=0.0,
-        help="keep the telemetry server up this long after the replay "
+        help="keep the HTTP server up this long after the replay "
         "finishes (for a final scrape)",
     )
     eng.add_argument(
@@ -782,24 +784,17 @@ def _cmd_engine(args) -> int:
     from repro.graph.dijkstra import node_weighted_spt
 
     node_weighted_spt(g, 0, backend="auto")
-    server = None
+    server = service = None
     metrics_were_enabled = REGISTRY.enabled
     if args.serve is not None:
-        from repro.obs.server import TelemetryServer
+        from repro.service import PricingService, ServiceServer
 
         REGISTRY.enable()  # a scrape with nothing collected is useless
-        server = TelemetryServer(
-            port=args.serve,
-            health=lambda: {
-                "engine_version": engine.version,
-                "model": engine.model,
-                "nodes": engine.n,
-                **engine.cache_sizes(),
-            },
-        ).start()
+        service = PricingService(engine)
+        server = ServiceServer(service, port=args.serve).start()
         print(
             f"telemetry serving on {server.url} "
-            "(/metrics /healthz /snapshot /flight)"
+            "(/metrics /healthz /readyz /snapshot /flight /v1/*)"
         )
     log.info(
         "engine replay start",
@@ -815,6 +810,7 @@ def _cmd_engine(args) -> int:
 
                 time.sleep(args.serve_grace)
             server.stop()
+            service.close()  # joins the workers; the engine is already closed
             if not metrics_were_enabled:
                 REGISTRY.disable()
     print(report.describe())

@@ -1,7 +1,8 @@
 """The HTTP JSON API over :class:`~repro.service.PricingService`.
 
-:class:`ServiceServer` extends the telemetry-server scaffolding
-(:mod:`repro.obs.server`) from inspection-only into a pricing API:
+:class:`ServiceServer` is the process's one HTTP server: it serves the
+pricing API and the telemetry endpoints from a single port (``serve``
+and ``engine --serve`` both run it):
 
 ``POST /v1/price``
     Body: a ``price-request`` wire envelope (:mod:`repro.io`).
@@ -16,10 +17,18 @@
 ``GET /v1/graph``
     The current snapshot as a ``graph-response`` envelope (the nested
     graph payload round-trips through :func:`repro.io.from_wire`).
-``GET /metrics``, ``/healthz``, ``/snapshot``, ``/flight``
-    The telemetry family, unchanged — one port serves both planes.
-    ``/healthz`` additionally reports the engine version/model and the
-    service's queue depth and drain state.
+``GET /metrics``
+    The process-wide registry in Prometheus text exposition format
+    (:func:`repro.obs.export.to_prometheus_text`).
+``GET /healthz``
+    Liveness JSON: uptime, collector states, flight-event count, the
+    engine's version, model and cache sizes, and the service's queue
+    depth and drain state.
+``GET /snapshot``
+    The full metrics snapshot as JSON
+    (:func:`repro.obs.export.snapshot_to_json` — round-trippable).
+``GET /flight``
+    The flight recorder's ring of recent engine events as JSON.
 ``GET /readyz``
     Readiness, split from liveness: 503 with the blocking reasons
     (``draining``, ``recovering``, ...) while the server should not
@@ -45,8 +54,8 @@ resilience testing; with no plan attached the request path — and every
 wire byte — is identical to a chaos-free build.
 
 Every request runs inside :func:`repro.obs.context.request_scope`: the
-minted id is returned both as the ``X-Request-Id`` response header and
-inside the response envelope, and it joins the PR-5 tracing
+minted id is returned as the ``X-Request-Id`` header on every response
+(and inside the ``/v1`` response envelopes), and it joins the tracing
 contextvars so spans and flight-recorder events correlate with the
 wire. Failures become ``error-response`` envelopes; the status comes
 from the one shared table in :mod:`repro.errors` (429 queue-full,
@@ -82,8 +91,8 @@ from repro.errors import (
 from repro.obs import logging as obs_logging
 from repro.obs.context import current_request_id, request_scope
 from repro.obs.export import snapshot_to_json, to_prometheus_text
-from repro.obs.flight import FLIGHT, FlightRecorder
-from repro.obs.metrics import REGISTRY, MetricsRegistry
+from repro.obs.flight import FLIGHT
+from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import TRACER
 from repro.service.chaos import ChaosPlan
 from repro.service.service import PricingService
@@ -99,7 +108,7 @@ ENDPOINTS = {
     "POST /v1/update": "apply a cost/topology mutation",
     "GET /v1/graph": "current graph snapshot + version",
     "GET /metrics": "Prometheus text exposition of the metrics registry",
-    "GET /healthz": "liveness + engine/service status JSON",
+    "GET /healthz": "liveness + engine/cache/service status JSON",
     "GET /readyz": "readiness (503 + reasons while draining/recovering)",
     "GET /snapshot": "full metrics snapshot as JSON",
     "GET /flight": "flight-recorder ring (recent engine events) as JSON",
@@ -110,9 +119,16 @@ ENDPOINTS = {
 #: fits comfortably).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Entries kept in the ``Idempotency-Key`` replay cache for
+#: ``POST /v1/update`` (LRU beyond that).
+IDEMPOTENCY_CAP = 1024
+
+_JSON = "application/json; charset=utf-8"
+_PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
+
 
 class ServiceServer:
-    """Background HTTP server speaking the ``/v1`` pricing API.
+    """Background HTTP server: the ``/v1`` pricing API plus telemetry.
 
     Parameters
     ----------
@@ -122,15 +138,13 @@ class ServiceServer:
         stops the listener first, then drains the service).
     port, host:
         Bind address; ``port=0`` picks an ephemeral port (tests).
-    registry, recorder:
-        Telemetry collectors for the ``/metrics`` family (default: the
-        process-wide ones).
     chaos:
         An optional seeded :class:`~repro.service.chaos.ChaosPlan`.
         ``None`` (default) leaves the request path untouched.
-    idempotency_cap:
-        Entries kept in the ``Idempotency-Key`` replay cache for
-        ``POST /v1/update`` (LRU beyond that).
+
+    The telemetry endpoints expose the process-wide
+    :data:`~repro.obs.metrics.REGISTRY` and
+    :data:`~repro.obs.flight.FLIGHT`.
     """
 
     def __init__(
@@ -138,24 +152,12 @@ class ServiceServer:
         service: PricingService,
         port: int = 0,
         host: str = "127.0.0.1",
-        registry: MetricsRegistry | None = None,
-        recorder: FlightRecorder | None = None,
-        prefix: str = "repro",
         chaos: ChaosPlan | None = None,
-        idempotency_cap: int = 1024,
     ) -> None:
         self.service = service
         self._host = host
         self._requested_port = int(port)
-        self.registry = registry if registry is not None else REGISTRY
-        self.recorder = recorder if recorder is not None else FLIGHT
-        self.prefix = prefix
         self.chaos = chaos
-        #: Optional hook returning extra not-ready reasons (strings) —
-        #: lets an embedding process (supervisor, shared breaker, ...)
-        #: take itself out of rotation via ``/readyz``.
-        self.ready_hook = None
-        self._idem_cap = int(idempotency_cap)
         self._idem: OrderedDict[str, dict] = OrderedDict()
         self._idem_mu = threading.Lock()
         self._httpd: ThreadingHTTPServer | None = None
@@ -243,12 +245,14 @@ class ServiceServer:
             "model": eng.model,
             "nodes": eng.n,
             "durable": eng.durable,
+            **eng.cache_sizes(),
             "recovering": self.service.recovering,
             "queue_depth": self.service.queue_depth,
             "max_queue": self.service.max_queue,
             "service": self.service.stats.as_dict(),
-            "metrics_enabled": self.registry.enabled,
+            "metrics_enabled": REGISTRY.enabled,
             "tracing_enabled": TRACER.enabled,
+            "flight_events": len(FLIGHT),
         }
 
     def readyz(self) -> dict:
@@ -256,20 +260,13 @@ class ServiceServer:
 
         Liveness (``/healthz``) answers "is the process up"; this
         answers "should it receive traffic". It goes false while the
-        service drains, while the engine is flagged mid-recovery, and
-        for whatever extra reasons :attr:`ready_hook` reports.
+        service drains and while the engine is flagged mid-recovery.
         """
         reasons: list[str] = []
         if self.service.closed:
             reasons.append("draining")
         if self.service.recovering:
             reasons.append("recovering")
-        hook = self.ready_hook
-        if hook is not None:
-            try:
-                reasons.extend(str(r) for r in hook())
-            except Exception as exc:  # a broken hook must not mask readiness
-                reasons.append(f"ready_hook error: {exc}")
         return {
             "ready": not reasons,
             "reasons": reasons,
@@ -290,10 +287,10 @@ class ServiceServer:
         with self._idem_mu:
             self._idem[key] = doc
             self._idem.move_to_end(key)
-            while len(self._idem) > self._idem_cap:
+            while len(self._idem) > IDEMPOTENCY_CAP:
                 self._idem.popitem(last=False)
 
-    # -- API handlers (one per POST/GET route; return a wire envelope) ------
+    # -- API handlers (one per /v1 route; return a wire envelope) -----------
 
     def handle_price(
         self, req: repro_io.PriceRequest, deadline_s: float | None = None
@@ -379,8 +376,16 @@ def _effective_deadline(
     return min(envelope_s, header_s)
 
 
+def _json_body(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _make_handler(server: ServiceServer) -> type:
-    """A request-handler class closed over one :class:`ServiceServer`."""
+    """A request-handler class closed over one :class:`ServiceServer`.
+
+    Both route tables are built here, at :meth:`ServiceServer.start`,
+    so they bind whatever handler methods the instance has then.
+    """
 
     # path -> (handler, envelope class, handler takes deadline_s=).
     posts = {
@@ -391,6 +396,29 @@ def _make_handler(server: ServiceServer) -> type:
             True,
         ),
         "/v1/update": (server.handle_update, repro_io.UpdateRequest, False),
+    }
+
+    def readyz() -> tuple[str, str, int]:
+        doc = server.readyz()
+        return _json_body(doc), _JSON, 200 if doc["ready"] else 503
+
+    # path -> () -> (body, content type, status).
+    gets = {
+        "/v1/graph": lambda: (_json_body(server.handle_graph()), _JSON, 200),
+        "/readyz": readyz,
+        "/healthz": lambda: (_json_body(server.healthz()), _JSON, 200),
+        "/metrics": lambda: (
+            to_prometheus_text(REGISTRY.snapshot(), prefix="repro"),
+            _PROMETHEUS,
+            200,
+        ),
+        "/snapshot": lambda: (
+            snapshot_to_json(REGISTRY.snapshot(), indent=2) + "\n",
+            _JSON,
+            200,
+        ),
+        "/flight": lambda: (_json_body(FLIGHT.snapshot()), _JSON, 200),
+        "/": lambda: (_json_body({"endpoints": ENDPOINTS}), _JSON, 200),
     }
 
     class Handler(BaseHTTPRequestHandler):
@@ -439,8 +467,8 @@ def _make_handler(server: ServiceServer) -> type:
             extra_headers: dict[str, str] | None = None,
         ) -> None:
             self._send(
-                json.dumps(doc, indent=2) + "\n",
-                "application/json; charset=utf-8",
+                _json_body(doc),
+                _JSON,
                 status,
                 request_id=request_id,
                 extra_headers=extra_headers,
@@ -512,15 +540,26 @@ def _make_handler(server: ServiceServer) -> type:
                 )
                 # Drain the unread request body first so keep-alive
                 # framing can't misparse it as the next request.
-                length = int(self.headers.get("Content-Length") or 0)
+                length = self._content_length()
                 if 0 < length <= MAX_BODY_BYTES:
                     self.rfile.read(length)
                 self._send_json(doc, status=decision.status, request_id=rid)
                 return True
             return False
 
+        def _content_length(self) -> int:
+            raw = self.headers.get("Content-Length") or "0"
+            if not raw.isdecimal():
+                # The body's framing is unknown: answer, then hang up.
+                self.close_connection = True
+                raise InvalidRequestError(
+                    f"Content-Length must be a non-negative integer, "
+                    f"got {raw!r}"
+                )
+            return int(raw)
+
         def _read_body(self):
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self._content_length()
             if length > MAX_BODY_BYTES:
                 raise InvalidRequestError(
                     f"request body of {length} bytes exceeds the "
@@ -583,8 +622,8 @@ def _make_handler(server: ServiceServer) -> type:
                         if idem_key:
                             cached = server._idem_get(idem_key)
                             if cached is not None:
-                                if server.registry.enabled:
-                                    server.registry.add(
+                                if REGISTRY.enabled:
+                                    REGISTRY.add(
                                         "service.idempotent_replays"
                                     )
                                 self._send_json(
@@ -610,8 +649,8 @@ def _make_handler(server: ServiceServer) -> type:
                     except OSError:
                         pass
                 finally:
-                    if server.registry.enabled:
-                        server.registry.observe(
+                    if REGISTRY.enabled:
+                        REGISTRY.observe(
                             f"service.http{path.replace('/', '.')}_time"
                             if route is not None
                             else "service.http.unknown_time",
@@ -620,42 +659,12 @@ def _make_handler(server: ServiceServer) -> type:
 
         def do_GET(self) -> None:  # noqa: N802 (stdlib name)
             path = self.path.split("?", 1)[0].rstrip("/") or "/"
+            route = gets.get(path)
             with request_scope(fresh=True) as rid:
                 try:
                     if self._apply_chaos(path, rid):
                         return
-                    if path == "/v1/graph":
-                        self._send_json(server.handle_graph(), request_id=rid)
-                    elif path == "/readyz":
-                        doc = server.readyz()
-                        self._send_json(
-                            doc,
-                            status=200 if doc["ready"] else 503,
-                            request_id=rid,
-                        )
-                    elif path == "/metrics":
-                        self._send(
-                            to_prometheus_text(
-                                server.registry.snapshot(),
-                                prefix=server.prefix,
-                            ),
-                            "text/plain; version=0.0.4; charset=utf-8",
-                        )
-                    elif path == "/healthz":
-                        self._send_json(server.healthz(), request_id=rid)
-                    elif path == "/snapshot":
-                        self._send(
-                            snapshot_to_json(
-                                server.registry.snapshot(), indent=2
-                            )
-                            + "\n",
-                            "application/json; charset=utf-8",
-                        )
-                    elif path == "/flight":
-                        self._send_json(server.recorder.snapshot())
-                    elif path == "/":
-                        self._send_json({"endpoints": ENDPOINTS})
-                    else:
+                    if route is None:
                         self._send_json(
                             {
                                 "error": f"unknown path {path!r}",
@@ -664,6 +673,9 @@ def _make_handler(server: ServiceServer) -> type:
                             status=404,
                             request_id=rid,
                         )
+                        return
+                    body, ctype, status = route()
+                    self._send(body, ctype, status, request_id=rid)
                 except BrokenPipeError:
                     pass
                 except Exception as exc:

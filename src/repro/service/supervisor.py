@@ -1,8 +1,9 @@
 """Process supervision for the pricing server: probe, kill, recover.
 
 :class:`Supervisor` runs ``python -m repro.cli serve ...`` (or any
-argv that exposes ``/healthz``) as a **child process** and keeps it
-alive:
+argv that runs a :class:`~repro.service.ServiceServer`: ``/healthz``
+for liveness, ``/readyz`` for readiness) as a **child process** and
+keeps it alive:
 
 * a monitor thread polls the child — ``proc.poll()`` catches crashes
   (including ``kill -9``), repeated ``/healthz`` probe failures catch
@@ -152,12 +153,12 @@ class Supervisor:
         return pid
 
     def wait_ready(self, timeout_s: float = 30.0) -> None:
-        """Block until ``/readyz`` (falling back to ``/healthz``) is 200."""
+        """Block until ``/readyz`` is 200."""
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
             if self._failed.is_set():
                 raise SupervisorError("child failed before becoming ready")
-            if self._probe("/readyz") or self._probe("/healthz"):
+            if self._probe("/readyz"):
                 return
             time.sleep(min(0.05, self.probe_interval_s))
         raise SupervisorError(f"child not ready after {timeout_s:.1f}s")

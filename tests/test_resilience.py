@@ -789,6 +789,20 @@ class TestSupervisor:
             )
             assert answer_key(payment) == answer_key(want)
 
+    def test_wait_ready_ignores_healthz_while_draining(self):
+        """A draining server is live (/healthz 200) but not ready."""
+        from repro.errors import SupervisorError
+
+        _, svc, server = _stack()
+        try:
+            svc.close()
+            sup = Supervisor(["true"], server.url, metrics=MetricsRegistry())
+            assert sup.healthz()["status"] == "draining"
+            with pytest.raises(SupervisorError, match="not ready"):
+                sup.wait_ready(timeout_s=1.0)
+        finally:
+            server.stop()
+
     def test_kill_child_without_child_raises(self):
         sup = Supervisor(["true"], "http://127.0.0.1:1", metrics=MetricsRegistry())
         from repro.errors import SupervisorError

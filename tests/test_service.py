@@ -10,6 +10,7 @@ graceful drain, and the HTTP wire surface.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -719,6 +720,32 @@ class TestHTTP:
             "timeouts", "updates", "degraded", "expired",
         }
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_maps_to_400(self, http_server, length):
+        body = json.dumps(
+            repro_io.to_wire(repro_io.PriceRequest(5, 0))
+        ).encode()
+        head = (
+            "POST /v1/price HTTP/1.1\r\n"
+            "Host: 127.0.0.1\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n"
+            "Connection: close\r\n\r\n"
+        ).encode()
+        with socket.create_connection(
+            ("127.0.0.1", http_server.port), timeout=5
+        ) as sock:
+            sock.sendall(head + body)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        status_line, _, rest = raw.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        err = repro_io.from_wire(json.loads(rest.partition(b"\r\n\r\n")[2]))
+        assert isinstance(err, repro_io.ErrorResponse)
+        assert err.code == "request.invalid"
+        assert "Content-Length" in err.message
+
     def test_unknown_path_404_lists_endpoints(self, http_server):
         try:
             urllib.request.urlopen(f"{http_server.url}/v9/nope", timeout=10)
@@ -816,16 +843,6 @@ class TestReadyz:
             f"{http_server.url}/healthz", timeout=10
         ) as r:
             assert json.load(r)["status"] == "draining"
-
-    def test_ready_hook_reasons_surface(self, http_server):
-        http_server.ready_hook = lambda: ["breaker-open"]
-        try:
-            urllib.request.urlopen(f"{http_server.url}/readyz", timeout=10)
-            pytest.fail("expected HTTP 503")
-        except urllib.error.HTTPError as err:
-            assert err.code == 503
-            assert json.load(err)["reasons"] == ["breaker-open"]
-        http_server.ready_hook = None
 
 
 class TestDegradedMode:

@@ -1,5 +1,5 @@
 """Tests for live telemetry: request scoping, the flight recorder,
-the HTTP telemetry server, histogram buckets, and the bench gate."""
+the telemetry HTTP endpoints, histogram buckets, and the bench gate."""
 
 import io
 import json
@@ -25,8 +25,8 @@ from repro.obs.context import (
 )
 from repro.obs.flight import FLIGHT, FlightRecorder
 from repro.obs.metrics import REGISTRY, TIMER_BUCKETS, MetricsRegistry
-from repro.obs.server import TelemetryServer
 from repro.obs.tracing import TRACER
+from repro.service import PricingService, ServiceServer
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -239,58 +239,74 @@ class TestFlightRecorder:
 
 
 class TestTelemetryServer:
+    """The telemetry endpoints, served by the one HTTP server."""
+
     @pytest.fixture
     def engine(self):
         g = gen.random_biconnected_graph(30, extra_edge_prob=0.15, seed=7)
         return PricingEngine(g)
 
-    def test_all_endpoints_serve(self, engine):
+    @pytest.fixture
+    def srv(self, engine):
+        service = PricingService(engine, workers=1)
+        server = ServiceServer(service, port=0).start()
+        yield server
+        server.stop()
+        service.close()
+
+    def test_all_endpoints_serve(self, engine, srv):
         REGISTRY.enable()
         FLIGHT.clear()
         engine.price(0, 5)
         engine.price(0, 5)
-        with TelemetryServer(
-            port=0, health=lambda: {"engine_version": engine.version}
-        ) as srv:
-            assert srv.running and srv.port > 0
+        assert srv.running and srv.port > 0
 
-            status, metrics = _get(srv.url + "/metrics")
-            assert status == 200
-            parsed = obs_export.parse_prometheus_text(metrics)
-            assert parsed["repro_engine_queries"] == 2.0
-            assert parsed["repro_engine_cache_hits"] == 1.0
-            assert obs_export.buckets_from_prometheus(
-                parsed, "repro_engine_price_time"
-            ), "histogram buckets must be scrapeable"
+        status, metrics = _get(srv.url + "/metrics")
+        assert status == 200
+        parsed = obs_export.parse_prometheus_text(metrics)
+        assert parsed["repro_engine_queries"] == 2.0
+        assert parsed["repro_engine_cache_hits"] == 1.0
+        assert obs_export.buckets_from_prometheus(
+            parsed, "repro_engine_price_time"
+        ), "histogram buckets must be scrapeable"
 
-            status, body = _get(srv.url + "/healthz")
-            hz = json.loads(body)
-            assert hz["status"] == "ok"
-            assert hz["metrics_enabled"] is True
-            assert hz["engine_version"] == engine.version
-            assert hz["flight_events"] == len(FLIGHT)
+        status, body = _get(srv.url + "/healthz")
+        hz = json.loads(body)
+        assert hz["status"] == "ok"
+        assert hz["metrics_enabled"] is True
+        assert hz["engine_version"] == engine.version
+        assert hz["flight_events"] == len(FLIGHT)
+        assert (hz["spts"], hz["pairs"]) == (
+            engine.cache_sizes()["spts"], 1
+        )
 
-            status, body = _get(srv.url + "/snapshot")
-            snap = obs_export.snapshot_from_json(body)
-            assert snap.counters["engine.queries"] == 2
-            assert snap.gauges["engine.pair_cache_entries"] == 1.0
+        status, body = _get(srv.url + "/snapshot")
+        snap = obs_export.snapshot_from_json(body)
+        assert snap.counters["engine.queries"] == 2
+        assert snap.gauges["engine.pair_cache_entries"] == 1.0
 
-            status, body = _get(srv.url + "/flight")
-            fl = json.loads(body)
-            assert fl["recorded"] == len(FLIGHT)
-            assert {e["kind"] for e in fl["events"]} >= {"query", "hit"}
+        status, body = _get(srv.url + "/flight")
+        fl = json.loads(body)
+        assert fl["recorded"] == len(FLIGHT)
+        assert {e["kind"] for e in fl["events"]} >= {"query", "hit"}
 
-            status, body = _get(srv.url + "/")
-            assert "/metrics" in json.loads(body)["endpoints"]
+        status, body = _get(srv.url + "/")
+        assert "GET /metrics" in json.loads(body)["endpoints"]
 
-    def test_unknown_path_is_404(self):
-        with TelemetryServer(port=0) as srv:
-            with pytest.raises(urllib.error.HTTPError) as exc:
-                _get(srv.url + "/nope")
-            assert exc.value.code == 404
-            assert "/metrics" in json.loads(exc.value.read())["endpoints"]
+    def test_telemetry_gets_carry_request_id(self, srv):
+        ids = set()
+        for path in ("/metrics", "/healthz", "/snapshot", "/flight", "/"):
+            with urllib.request.urlopen(srv.url + path, timeout=5) as resp:
+                ids.add(resp.headers["X-Request-Id"])
+        assert None not in ids and len(ids) == 5, "one fresh id per GET"
 
-    def test_counters_advance_between_scrapes_under_load(self, engine):
+    def test_unknown_path_is_404(self, srv):
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _get(srv.url + "/nope")
+        assert exc.value.code == 404
+        assert "GET /metrics" in json.loads(exc.value.read())["endpoints"]
+
+    def test_counters_advance_between_scrapes_under_load(self, engine, srv):
         """Scrape a live engine from outside while it serves queries."""
         REGISTRY.enable()
         pairs = [(s, t) for s in range(6) for t in range(10, 16)]
@@ -301,47 +317,32 @@ class TestTelemetryServer:
                 engine.price(s, t)
             done.set()
 
-        with TelemetryServer(port=0) as srv:
-            t = threading.Thread(target=work)
-            t.start()
-            seen = []
-            while not done.is_set() or len(seen) < 2:
-                _, metrics = _get(srv.url + "/metrics")
-                parsed = obs_export.parse_prometheus_text(metrics)
-                seen.append(parsed.get("repro_engine_queries", 0.0))
-                _, body = _get(srv.url + "/healthz")
-                assert json.loads(body)["status"] == "ok"
-            t.join()
+        t = threading.Thread(target=work)
+        t.start()
+        seen = []
+        while not done.is_set() or len(seen) < 2:
             _, metrics = _get(srv.url + "/metrics")
-            final = obs_export.parse_prometheus_text(metrics)
+            parsed = obs_export.parse_prometheus_text(metrics)
+            seen.append(parsed.get("repro_engine_queries", 0.0))
+            _, body = _get(srv.url + "/healthz")
+            assert json.loads(body)["status"] == "ok"
+        t.join()
+        _, metrics = _get(srv.url + "/metrics")
+        final = obs_export.parse_prometheus_text(metrics)
         assert final["repro_engine_queries"] == len(pairs)
         assert seen == sorted(seen), "counters are monotone across scrapes"
 
-    def test_start_twice_rejected_and_stop_idempotent(self):
-        srv = TelemetryServer(port=0).start()
+    def test_start_twice_rejected_and_stop_idempotent(self, engine):
+        service = PricingService(engine, workers=1)
+        srv = ServiceServer(service, port=0).start()
         try:
             with pytest.raises(RuntimeError, match="already running"):
                 srv.start()
         finally:
             srv.stop()
+            service.close()
         srv.stop()  # second stop is a no-op
         assert not srv.running
-
-    def test_custom_registry_and_recorder(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.add("custom.hits", 3)
-        rec = FlightRecorder(capacity=4)
-        rec.record("query", request_id="rX")
-        with TelemetryServer(port=0, registry=reg, recorder=rec) as srv:
-            _, metrics = _get(srv.url + "/metrics")
-            assert (
-                obs_export.parse_prometheus_text(metrics)[
-                    "repro_custom_hits"
-                ]
-                == 3.0
-            )
-            _, body = _get(srv.url + "/flight")
-            assert json.loads(body)["events"][0]["request_id"] == "rX"
 
 
 # ---------------------------------------------------------------------------
