@@ -33,11 +33,11 @@ REGION_M = 2000.0
 HOT_SOURCES = 25  # size of the recurring source pool
 
 
-def _udg_instance(n: int = N_NODES, seed: int = 2004):
-    """Paper-style deployment: n nodes uniform in a 2000 m square, UDG
-    links at 300 m, scalar declared costs."""
+def _udg_instance(n: int = N_NODES, seed: int = 2004, region_m: float = REGION_M):
+    """Paper-style deployment: n nodes uniform in a ``region_m`` square
+    (2000 m by default), UDG links at 300 m, scalar declared costs."""
     rng = np.random.default_rng(seed)
-    points = rng.uniform(0.0, REGION_M, size=(n, 2))
+    points = rng.uniform(0.0, region_m, size=(n, 2))
     costs = rng.uniform(1.0, 10.0, size=n)
     return build_node_graph_from_udg(points, RANGE_M, costs)
 
@@ -118,8 +118,9 @@ def test_batched_spt_speedup(benchmark, scale):
 
     Pricing 200 distinct sources toward the access point on the 500-node
     instance through the batched path (``backend="auto"``: one
-    ``scipy.sparse.csgraph.dijkstra(indices=sources)`` call over the
-    cached CSR, vectorized Algorithm-1 kernels) must beat the per-source
+    ``scipy.sparse.csgraph.dijkstra(indices=block)`` call per block of
+    32 sources over the cached CSR, vectorized Algorithm-1 kernels) must
+    beat the per-source
     path — SPTs built one source at a time in a Python loop, identical
     Algorithm-1 kernels (``backend="numpy"``) — by >= 3x, bit-identically.
 
@@ -171,6 +172,42 @@ def test_batched_spt_speedup(benchmark, scale):
         lambda: pairwise_vcg_payments(g, pairs), rounds=1, iterations=1
     )
     assert speedup >= 3.0
+
+
+def test_batched_spt_memory(benchmark):
+    """The batched SPT solve's transient memory stays bounded.
+
+    All 2000 sources of a 2000-node instance at the 500-node density
+    (the square grows with ``sqrt(n)``). The kept trees are k x n floats
+    and ints; the transient is the traced peak above them. Solving in
+    fixed source blocks keeps it O(m + block x n); one all-sources call
+    would hold a dense k x (n + k) result (~95 MiB here).
+    """
+    import tracemalloc
+
+    from repro.graph.dijkstra import node_weighted_spt_many
+
+    n = 2000
+    g = _udg_instance(n, region_m=REGION_M * np.sqrt(n / N_NODES))
+    # Warm-up: scipy import + the graph's cached CSR build, untraced.
+    node_weighted_spt_many(g, [0, 1])
+
+    def solve():
+        tracemalloc.start()
+        try:
+            trees = node_weighted_spt_many(g, range(n))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trees) == n
+        return (peak - current) / 2**20
+
+    transient_mb = benchmark.pedantic(solve, rounds=1, iterations=1)
+    emit(f"batched SPT, all {n} sources: transient {transient_mb:.1f} MiB")
+    benchmark.extra_info["n_nodes"] = n
+    benchmark.extra_info["n_arcs"] = int(g.indptr[-1])
+    benchmark.extra_info["transient_mib"] = round(transient_mb, 1)
+    assert transient_mb < 16.0
 
 
 def test_engine_wal_overhead(benchmark, tmp_path, scale):

@@ -85,8 +85,9 @@ def pairwise_vcg_payments(
         return spt
 
     # Pre-build every distinct endpoint's SPT not already in the cache in
-    # one batched multi-source solve (a single compiled call instead of
-    # one Python round-trip per endpoint; bit-identical per-source trees).
+    # one batched multi-source solve (one compiled call per block of 32
+    # endpoints instead of one Python round-trip per endpoint, with
+    # bounded transient memory; bit-identical per-source trees).
     pair_list = [
         (check_node_index(i, g.n), check_node_index(j, g.n))
         for i, j in pairs

@@ -157,8 +157,7 @@ def all_sources_removal_distances(
             keep = (src != k) & (dst != k)
         mat = csr_matrix((wts[keep], (src[keep], dst[keep])), shape=(n, n))
         dist = sp_dijkstra(mat, directed=True, indices=root)
-        dist = np.where(np.isfinite(dist), dist, np.inf)
-        dist[(dist < 1e-250) & np.isfinite(dist)] = 0.0
+        dist[dist < 1e-250] = 0.0
         if k != root:
             dist[k] = np.inf
         out[k] = dist

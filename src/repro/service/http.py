@@ -22,8 +22,9 @@ and ``engine --serve`` both run it):
     (:func:`repro.obs.export.to_prometheus_text`).
 ``GET /healthz``
     Liveness JSON: uptime, collector states, flight-event count, the
-    engine's version, model and cache sizes, and the service's queue
-    depth and drain state.
+    engine's version, model and cache sizes, the service's queue
+    depth and drain state, and the process's peak resident set
+    (``peak_rss_mb``).
 ``GET /snapshot``
     The full metrics snapshot as JSON
     (:func:`repro.obs.export.snapshot_to_json` — round-trippable).
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import io
 import json
+import resource
 import socket
 import struct
 import threading
@@ -253,6 +255,11 @@ class ServiceServer:
             "metrics_enabled": REGISTRY.enabled,
             "tracing_enabled": TRACER.enabled,
             "flight_events": len(FLIGHT),
+            # ru_maxrss is in KiB on Linux: the same high-water mark
+            # (VmHWM) the end-to-end benchmark gates.
+            "peak_rss_mb": round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+            ),
         }
 
     def readyz(self) -> dict:

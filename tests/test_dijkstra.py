@@ -264,6 +264,68 @@ class TestNodeWeightedSptMany:
         assert snap.counters["dijkstra.batched_runs"] == 1
         assert snap.counters["dijkstra.batched_sources"] == 3
 
+    @staticmethod
+    def _udg(n, seed, isolated=False):
+        """``n`` nodes at the benchmark density (2000 m square per 500
+        nodes, 300 m range), continuous costs; ``isolated`` moves the
+        last node out of everyone's range (a degree-0 root)."""
+        from repro.wireless.topology import build_node_graph_from_udg
+
+        rng = np.random.default_rng(seed)
+        side = 2000.0 * np.sqrt(n / 500)
+        pts = rng.uniform(0.0, side, size=(n, 2))
+        if isolated:
+            pts[-1] = (10 * side, 10 * side)
+        return build_node_graph_from_udg(
+            pts, 300.0, rng.uniform(1.0, 10.0, size=n)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_all_sources_cross_blocks_exactly(self, seed):
+        from repro.core.allpairs import pairwise_vcg_payments
+        from repro.graph.dijkstra import _SPT_BLOCK
+
+        n = 3 * _SPT_BLOCK + 9 + seed  # 3 full blocks and a partial one
+        g = self._udg(n, seed, isolated=True)
+        assert g.indptr[n] == g.indptr[n - 1]  # the last node has degree 0
+        sources = [5, *range(n), 5]  # a duplicate at both ends
+        many = node_weighted_spt_many(g, sources, backend="scipy")
+        assert list(many) == [5, *(s for s in range(n) if s != 5)]
+        for s in range(n):
+            per = node_weighted_spt(g, s, backend="scipy")
+            assert many[s].root == s
+            assert many[s].dist.tobytes() == per.dist.tobytes()
+            assert np.array_equal(many[s].parent, per.parent)
+            # A surviving tree must not pin its block's scipy result.
+            assert many[s].dist.base is None and many[s].parent.base is None
+        assert np.all(many[n - 1].parent == -1)
+
+        target = 0
+        reach = many[target].dist
+        pairs = [(s, target) for s in range(1, n) if np.isfinite(reach[s])]
+        assert len(pairs) > 2 * _SPT_BLOCK
+        batched = pairwise_vcg_payments(g, pairs)
+        oracle = pairwise_vcg_payments(g, pairs, backend="numpy")
+        for key in pairs:
+            assert batched[key].path == oracle[key].path
+            assert dict(batched[key].payments) == dict(oracle[key].payments)
+
+    def test_transient_memory_is_bounded(self):
+        import tracemalloc
+
+        g = self._udg(1000, 4)
+        node_weighted_spt_many(g, [0, 1])  # import scipy, cache the CSR
+        tracemalloc.start()
+        try:
+            trees = node_weighted_spt_many(g, range(g.n))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trees) == g.n
+        # The kept trees are ~16 MiB; a single all-sources solve held a
+        # dense n x 2n result on top of them (~24 MiB at n = 1000).
+        assert (peak - current) / 2**20 < 8.0
+
 
 class TestConcurrentSciPyBuilds:
     """The cached tail-cost CSR is shared across threads (the pricing

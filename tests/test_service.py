@@ -720,6 +720,16 @@ class TestHTTP:
             "timeouts", "updates", "degraded", "expired",
         }
 
+    def test_healthz_reports_peak_rss(self, http_server):
+        peaks = []
+        for _ in range(2):
+            with urllib.request.urlopen(
+                f"{http_server.url}/healthz", timeout=10
+            ) as r:
+                peaks.append(json.load(r)["peak_rss_mb"])
+        assert all(isinstance(p, float) and p > 0 for p in peaks)
+        assert peaks[1] >= peaks[0]
+
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_bad_content_length_maps_to_400(self, http_server, length):
         body = json.dumps(
