@@ -9,7 +9,7 @@ the ``graph_version`` it was priced at; afterwards a serial replay of
 the recorded update history recomputes every distinct ``(version,
 source, target)`` from scratch and demands bit-identity. The
 acceptance bar: **zero mismatches** while sustaining **>= 500 req/s**
-through the full service stack (admission queue, coalescing, worker
+through the full service stack (admission queue, deadlines, worker
 pool — everything but the HTTP socket).
 """
 
@@ -161,13 +161,12 @@ def test_service_load_zero_mismatches(benchmark, scale):
     emit(
         f"service load: {total} requests over {elapsed * 1e3:.0f} ms "
         f"({throughput:.0f} req/s), {len(updates)} concurrent updates, "
-        f"{stats.coalesced} coalesced, {len(oracle)} distinct "
+        f"{stats.rejected} rejected, {len(oracle)} distinct "
         f"(version, pair) keys verified, {mismatches} mismatches"
     )
     benchmark.extra_info["throughput_rps"] = round(throughput, 1)
     benchmark.extra_info["requests"] = total
     benchmark.extra_info["updates"] = len(updates)
-    benchmark.extra_info["coalesced"] = stats.coalesced
     benchmark.extra_info["verified_keys"] = len(oracle)
     benchmark.extra_info["mismatches"] = mismatches
 

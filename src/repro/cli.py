@@ -42,8 +42,7 @@ Subcommands:
   window, otherwise SIGINT/SIGTERM drains in-flight requests, cuts a
   final checkpoint (durable engines) and exits cleanly. ``--chaos
   PLAN`` (or the ``REPRO_CHAOS`` env var) attaches a seeded
-  fault-injection plan, ``--degrade`` enables degraded-mode serving
-  (stale-but-stamped answers under overload/recovery).
+  fault-injection plan.
 * ``client`` — drive a running service through the resilient
   :class:`~repro.service.PricingClient` (seeded retries with full
   jitter, circuit breaker, deadline propagation, idempotency keys):
@@ -426,13 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach a seeded fault-injection plan: inline JSON or a "
         "path to a JSON file (default: the REPRO_CHAOS env var; "
         "unset = no injection, byte-identical responses)",
-    )
-    srv.add_argument(
-        "--degrade",
-        action="store_true",
-        help="enable degraded-mode serving: under queue saturation or "
-        "mid-recovery, /v1/price may return the last-committed "
-        "answer stamped degraded=true instead of a blind 429",
     )
 
     cli_client = sub.add_parser(
@@ -855,12 +847,7 @@ def _cmd_serve(args) -> int:
     from repro import generators
     from repro.engine import PricingEngine
     from repro.errors import ReproError, error_code
-    from repro.service import (
-        ChaosPlan,
-        DegradePolicy,
-        PricingService,
-        ServiceServer,
-    )
+    from repro.service import ChaosPlan, PricingService, ServiceServer
 
     try:
         chaos = (
@@ -908,7 +895,6 @@ def _cmd_serve(args) -> int:
             workers=args.workers,
             max_queue=args.queue_depth,
             deadline_s=args.deadline,
-            degrade=DegradePolicy() if args.degrade else None,
         )
     except ReproError as exc:
         print(f"error [{error_code(exc)}]: {exc}", file=sys.stderr)
@@ -919,12 +905,11 @@ def _cmd_serve(args) -> int:
     server = ServiceServer(
         service, port=args.port, host=args.host, chaos=chaos
     ).start()
-    notes = []
-    if chaos is not None and not chaos.is_null:
-        notes.append(f"CHAOS plan active (seed {chaos.seed})")
-    if args.degrade:
-        notes.append("degraded-mode serving enabled")
-    suffix = ("; " + "; ".join(notes)) if notes else ""
+    suffix = (
+        f"; CHAOS plan active (seed {chaos.seed})"
+        if chaos is not None and not chaos.is_null
+        else ""
+    )
     print(
         f"pricing service on {server.url} "
         "(POST /v1/price /v1/price_many /v1/update; "
@@ -947,9 +932,8 @@ def _cmd_serve(args) -> int:
     stats = service.stats
     print(
         f"drained after {stats.requests} requests, {stats.updates} updates "
-        f"({stats.coalesced} coalesced, {stats.rejected} rejected, "
-        f"{stats.timeouts} deadline-expired); final graph version "
-        f"{engine.version}"
+        f"({stats.rejected} rejected, {stats.timeouts} deadline-expired); "
+        f"final graph version {engine.version}"
     )
     return 0
 
@@ -990,7 +974,7 @@ def _cmd_client(args) -> int:
         )
 
     rng = np.random.default_rng(args.seed)
-    records = []  # (s, t, version, payment, degraded)
+    records = []  # (s, t, version, payment)
     updates = []  # (version, node, value)
     failures = 0
     t0 = time.perf_counter()
@@ -1004,9 +988,7 @@ def _cmd_client(args) -> int:
             else:
                 s = int(rng.integers(1, n))
                 resp = client.price(s, 0)
-                records.append(
-                    (s, 0, resp.graph_version, resp.payment, resp.degraded)
-                )
+                records.append((s, 0, resp.graph_version, resp.payment))
         except ReproError as exc:
             failures += 1
             log.warning(
@@ -1017,12 +999,11 @@ def _cmd_client(args) -> int:
     stats = client.stats
     client.close()
 
-    degraded = sum(1 for r in records if r[4])
     done = len(records) + len(updates)
     print(
         f"{done}/{args.requests} calls ok in {elapsed:.2f}s "
-        f"({done / elapsed:.0f} req/s): {len(records)} priced "
-        f"({degraded} degraded), {len(updates)} updates, "
+        f"({done / elapsed:.0f} req/s): {len(records)} priced, "
+        f"{len(updates)} updates, "
         f"{failures} failed"
     )
     print(
@@ -1050,7 +1031,7 @@ def _cmd_client(args) -> int:
         graph_at[version] = current
     oracle = {}
     mismatches = unverifiable = 0
-    for s, t, version, payment, _deg in records:
+    for s, t, version, payment in records:
         if version not in graph_at:
             unverifiable += 1
             continue

@@ -315,7 +315,7 @@ HTTP_STATUS: dict[str, int] = {
 
 #: Default ``Retry-After`` hint (seconds) per retryable HTTP status.
 #: 429 means "the queue is momentarily full" — retry almost
-#: immediately; 503 means "draining or recovering" — back off longer.
+#: immediately; 503 means "draining" — back off longer.
 RETRY_AFTER_S: dict[int, float] = {429: 0.05, 503: 1.0}
 
 

@@ -44,6 +44,8 @@ registering a migration — identical to evolving an on-disk format.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -82,6 +84,8 @@ __all__ = [
     "UpdateResponse",
     "GraphResponse",
     "ErrorResponse",
+    "node_id",
+    "deadline_budget",
 ]
 
 FORMAT_VERSION = 1
@@ -302,12 +306,41 @@ def _link_table_from_dict(d: dict) -> LinkPaymentTable:
 # ---------------------------------------------------------------------------
 
 
+def node_id(value, name: str) -> int:
+    """``value`` as a request's node id, or :class:`SerializationError`.
+
+    Any :class:`numbers.Integral` passes (NumPy ints included); a
+    ``bool``, a float such as ``1.5`` or anything else is rejected
+    rather than truncated to a different node.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SerializationError(
+            f"{name} must be an integer node id, got {value!r}"
+        )
+    return int(value)
+
+
+def deadline_budget(value, name: str = "deadline_s") -> float:
+    """``value`` as a deadline budget in seconds: finite and positive.
+
+    NaN and infinity raise :class:`~repro.errors.InvalidRequestError`
+    like zero and negative budgets do.
+    """
+    budget = float(value)
+    if not (math.isfinite(budget) and budget > 0):
+        raise InvalidRequestError(
+            f"{name} must be a finite positive number of seconds, "
+            f"got {value!r}"
+        )
+    return budget
+
+
 @dataclass(frozen=True)
 class PriceRequest:
     """``POST /v1/price`` body: one ``(source, target)`` query.
 
     ``deadline_s`` overrides the service's default per-request deadline
-    (must be positive when given).
+    (must be finite and positive when given).
     """
 
     source: int
@@ -315,14 +348,12 @@ class PriceRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "source", int(self.source))
-        object.__setattr__(self, "target", int(self.target))
+        object.__setattr__(self, "source", node_id(self.source, "source"))
+        object.__setattr__(self, "target", node_id(self.target, "target"))
         if self.deadline_s is not None:
-            object.__setattr__(self, "deadline_s", float(self.deadline_s))
-            if self.deadline_s <= 0:
-                raise InvalidRequestError(
-                    f"deadline_s must be positive, got {self.deadline_s}"
-                )
+            object.__setattr__(
+                self, "deadline_s", deadline_budget(self.deadline_s)
+            )
 
 
 @dataclass(frozen=True)
@@ -334,17 +365,15 @@ class PriceManyRequest:
 
     def __post_init__(self) -> None:
         pairs = tuple(
-            (int(s), int(t)) for s, t in self.pairs
+            (node_id(s, "pairs"), node_id(t, "pairs")) for s, t in self.pairs
         )
         if not pairs:
             raise InvalidRequestError("pairs must be non-empty")
         object.__setattr__(self, "pairs", pairs)
         if self.deadline_s is not None:
-            object.__setattr__(self, "deadline_s", float(self.deadline_s))
-            if self.deadline_s <= 0:
-                raise InvalidRequestError(
-                    f"deadline_s must be positive, got {self.deadline_s}"
-                )
+            object.__setattr__(
+                self, "deadline_s", deadline_budget(self.deadline_s)
+            )
 
 
 #: The mutations ``POST /v1/update`` accepts (engine method per op).
@@ -377,17 +406,24 @@ class UpdateRequest:
                 f"op must be one of {UPDATE_OPS}, got {self.op!r}"
             )
         if self.node is not None:
-            object.__setattr__(self, "node", int(self.node))
+            object.__setattr__(self, "node", node_id(self.node, "node"))
         if self.edge is not None:
             u, v = self.edge
-            object.__setattr__(self, "edge", (int(u), int(v)))
+            object.__setattr__(
+                self, "edge", (node_id(u, "edge"), node_id(v, "edge"))
+            )
         object.__setattr__(
-            self, "neighbors", tuple(int(v) for v in self.neighbors)
+            self,
+            "neighbors",
+            tuple(node_id(v, "neighbors") for v in self.neighbors),
         )
         object.__setattr__(
             self,
             "arcs",
-            tuple((int(u), int(v), float(w)) for u, v, w in self.arcs),
+            tuple(
+                (node_id(u, "arcs"), node_id(v, "arcs"), float(w))
+                for u, v, w in self.arcs
+            ),
         )
         if self.op == "cost":
             if self.value is None:
@@ -410,12 +446,6 @@ class PriceResponse:
     payment: UnicastPayment
     graph_version: int
     request_id: str
-    coalesced: bool = False
-    #: True when the answer was served from the degraded-mode cache of
-    #: last-committed answers (queue saturated / engine recovering)
-    #: instead of a fresh snapshot read; ``graph_version`` then names
-    #: the possibly-stale snapshot the payment was computed at.
-    degraded: bool = False
 
 
 @dataclass(frozen=True)
@@ -516,17 +546,11 @@ def _update_request_from_dict(d: dict) -> UpdateRequest:
 
 
 def _price_response_to_dict(r: PriceResponse) -> dict:
-    out = {
+    return {
         "payment": _payment_to_dict(r.payment),
         "graph_version": int(r.graph_version),
         "request_id": r.request_id,
-        "coalesced": bool(r.coalesced),
     }
-    # Emitted only when set: fresh answers keep the exact pre-degraded
-    # wire bytes (the serving layer's byte-identity contract).
-    if r.degraded:
-        out["degraded"] = True
-    return out
 
 
 def _price_response_from_dict(d: dict) -> PriceResponse:
@@ -534,8 +558,6 @@ def _price_response_from_dict(d: dict) -> PriceResponse:
         payment=_payment_from_dict(d["payment"]),
         graph_version=int(d["graph_version"]),
         request_id=str(d["request_id"]),
-        coalesced=bool(d.get("coalesced", False)),
-        degraded=bool(d.get("degraded", False)),
     )
 
 

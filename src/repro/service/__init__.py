@@ -8,9 +8,9 @@ package is the serving layer in front of the snapshot-isolated
 
 * :class:`PricingService` (:mod:`repro.service.service`) — worker
   pool behind a bounded admission queue with backpressure (429),
-  per-request deadlines (504), duplicate-request coalescing, and a
-  graceful drain that finishes queued work, checkpoints, and closes
-  the engine.
+  per-request deadlines (504), write-through updates, and a graceful
+  drain that finishes queued work, checkpoints, and closes the engine.
+  Every answer is a fresh engine read over the costs declared now.
 * :class:`ServiceServer` (:mod:`repro.service.http`) — the stdlib
   HTTP JSON API: ``POST /v1/price`` / ``/v1/price_many`` /
   ``/v1/update``, ``GET /v1/graph``, plus the telemetry family
@@ -27,9 +27,6 @@ The availability layer on top (this PR's *resilience* family):
 * :class:`ChaosPlan` (:mod:`repro.service.chaos`) — seeded
   server-side fault injection (latency, 5xx, resets, torn responses);
   off ⇒ byte-identical responses.
-* :class:`DegradePolicy` (:mod:`repro.service.service`) — explicit
-  stale-but-stamped answers when the queue saturates or the engine is
-  mid-recovery.
 * :class:`Supervisor` (:mod:`repro.service.supervisor`) — child-
   process supervision with ``/healthz`` probes and WAL-recovery
   restarts.
@@ -49,7 +46,6 @@ from repro.service.resilience import (
 )
 from repro.service.service import (
     BatchAnswer,
-    DegradePolicy,
     PricedAnswer,
     PricingService,
     ServiceStats,
@@ -62,7 +58,6 @@ __all__ = [
     "ServiceStats",
     "PricedAnswer",
     "BatchAnswer",
-    "DegradePolicy",
     "PricingClient",
     "BackoffPolicy",
     "CircuitBreaker",

@@ -6,8 +6,8 @@ and ``engine --serve`` both run it):
 
 ``POST /v1/price``
     Body: a ``price-request`` wire envelope (:mod:`repro.io`).
-    Response: ``price-response`` — the payment, its ``graph_version``,
-    the serving request id, and whether the call coalesced.
+    Response: ``price-response`` — the payment, its ``graph_version``
+    and the serving request id.
 ``POST /v1/price_many``
     Body: ``price-many-request``; response: ``price-many-response``.
 ``POST /v1/update``
@@ -31,11 +31,11 @@ and ``engine --serve`` both run it):
 ``GET /flight``
     The flight recorder's ring of recent engine events as JSON.
 ``GET /readyz``
-    Readiness, split from liveness: 503 with the blocking reasons
-    (``draining``, ``recovering``, ...) while the server should not
-    receive traffic, 200 otherwise. Load balancers and the CI smoke
-    gate on this; ``/healthz`` stays 200 through a drain so
-    supervisors don't kill a process that is shutting down cleanly.
+    Readiness, split from liveness: 503 with the blocking reason
+    (``draining``) while the server should not receive traffic, 200
+    otherwise. Load balancers and the CI smoke gate on this;
+    ``/healthz`` stays 200 through a drain so supervisors don't kill a
+    process that is shutting down cleanly.
 
 Failure-handling headers (see ``docs/service.md``):
 
@@ -111,7 +111,7 @@ ENDPOINTS = {
     "GET /v1/graph": "current graph snapshot + version",
     "GET /metrics": "Prometheus text exposition of the metrics registry",
     "GET /healthz": "liveness + engine/cache/service status JSON",
-    "GET /readyz": "readiness (503 + reasons while draining/recovering)",
+    "GET /readyz": "readiness (503 + reasons while draining)",
     "GET /snapshot": "full metrics snapshot as JSON",
     "GET /flight": "flight-recorder ring (recent engine events) as JSON",
 }
@@ -248,7 +248,6 @@ class ServiceServer:
             "nodes": eng.n,
             "durable": eng.durable,
             **eng.cache_sizes(),
-            "recovering": self.service.recovering,
             "queue_depth": self.service.queue_depth,
             "max_queue": self.service.max_queue,
             "service": self.service.stats.as_dict(),
@@ -266,14 +265,12 @@ class ServiceServer:
         """Readiness payload: ``ready`` plus the blocking reasons.
 
         Liveness (``/healthz``) answers "is the process up"; this
-        answers "should it receive traffic". It goes false while the
-        service drains and while the engine is flagged mid-recovery.
+        answers "should it receive traffic". It goes false once the
+        service starts draining. A recovering engine needs no reason of
+        its own: ``serve --recover`` finishes recovery before the port
+        is bound.
         """
-        reasons: list[str] = []
-        if self.service.closed:
-            reasons.append("draining")
-        if self.service.recovering:
-            reasons.append("recovering")
+        reasons = ["draining"] if self.service.closed else []
         return {
             "ready": not reasons,
             "reasons": reasons,
@@ -312,8 +309,6 @@ class ServiceServer:
                 payment=answer.payment,
                 graph_version=answer.graph_version,
                 request_id=current_request_id() or "",
-                coalesced=answer.coalesced,
-                degraded=answer.degraded,
             )
         )
 
@@ -588,11 +583,7 @@ def _make_handler(server: ServiceServer) -> type:
                 raise InvalidRequestError(
                     f"X-Deadline-S must be a number, got {raw!r}"
                 ) from None
-            if budget <= 0:
-                raise InvalidRequestError(
-                    f"X-Deadline-S must be positive, got {budget}"
-                )
-            return budget
+            return repro_io.deadline_budget(budget, "X-Deadline-S")
 
         def do_POST(self) -> None:  # noqa: N802 (stdlib name)
             path = self.path.split("?", 1)[0].rstrip("/")

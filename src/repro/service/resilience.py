@@ -69,7 +69,7 @@ __all__ = [
 ]
 
 #: Statuses a retry can help with: serving-layer pushback (429 queue
-#: full, 503 draining/recovering, 504 deadline) and server-side faults
+#: full, 503 draining, 504 deadline) and server-side faults
 #: (500/502, e.g. injected by the chaos plan or a mid-crash worker).
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -230,7 +230,6 @@ class ClientStats:
     server_errors: int = 0
     short_circuits: int = 0
     deadline_expired: int = 0
-    degraded_answers: int = 0
     idempotent_replays: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -241,7 +240,6 @@ class ClientStats:
             "server_errors": self.server_errors,
             "short_circuits": self.short_circuits,
             "deadline_expired": self.deadline_expired,
-            "degraded_answers": self.degraded_answers,
             "idempotent_replays": self.idempotent_replays,
         }
 
@@ -313,15 +311,11 @@ class PricingClient:
         doc = self._call(
             "POST",
             "/v1/price",
-            repro_io.PriceRequest(source=int(source), target=int(target)),
+            repro_io.PriceRequest(source=source, target=target),
             idempotent=True,
             deadline_s=deadline_s,
         )
-        resp = self._decode(doc, repro_io.PriceResponse)
-        if resp.degraded:
-            with self._mu:
-                self.stats.degraded_answers += 1
-        return resp
+        return self._decode(doc, repro_io.PriceResponse)
 
     def price_many(
         self,
@@ -329,9 +323,7 @@ class PricingClient:
         *,
         deadline_s: float | None = None,
     ) -> repro_io.PriceManyResponse:
-        req = repro_io.PriceManyRequest(
-            pairs=tuple((int(s), int(t)) for s, t in pairs)
-        )
+        req = repro_io.PriceManyRequest(pairs=tuple(pairs))
         doc = self._call(
             "POST", "/v1/price_many", req, idempotent=True, deadline_s=deadline_s
         )
@@ -340,7 +332,7 @@ class PricingClient:
     def update_cost(
         self, node: int, value: float, *, deadline_s: float | None = None
     ) -> repro_io.UpdateResponse:
-        req = repro_io.UpdateRequest(op="cost", node=int(node), value=float(value))
+        req = repro_io.UpdateRequest(op="cost", node=node, value=float(value))
         return self._update(req, deadline_s)
 
     def add_node(
@@ -351,14 +343,14 @@ class PricingClient:
         deadline_s: float | None = None,
     ) -> repro_io.UpdateResponse:
         req = repro_io.UpdateRequest(
-            op="add_node", cost=float(cost), neighbors=tuple(int(v) for v in neighbors)
+            op="add_node", cost=float(cost), neighbors=tuple(neighbors)
         )
         return self._update(req, deadline_s)
 
     def remove_node(
         self, node: int, *, deadline_s: float | None = None
     ) -> repro_io.UpdateResponse:
-        req = repro_io.UpdateRequest(op="remove_node", node=int(node))
+        req = repro_io.UpdateRequest(op="remove_node", node=node)
         return self._update(req, deadline_s)
 
     def graph(self, *, deadline_s: float | None = None) -> repro_io.GraphResponse:

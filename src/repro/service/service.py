@@ -4,7 +4,8 @@
 (:mod:`repro.service.http`) and the snapshot-isolated
 :class:`~repro.engine.PricingEngine`. The engine guarantees that
 concurrent queries are bit-identical to a serial execution; this layer
-adds the serving policies a shared engine needs under load:
+adds the serving policies a shared engine needs under load, and every
+answer it returns is a fresh engine read over the costs declared now:
 
 * **Bounded admission queue.** Price queries pass through a
   ``queue.Queue(maxsize=max_queue)`` drained by a fixed worker pool.
@@ -16,12 +17,6 @@ adds the serving policies a shared engine needs under load:
   :class:`~repro.errors.DeadlineExceededError` (HTTP 504) when it
   expires, and workers skip tickets that expired while queued instead
   of burning engine time on answers nobody is waiting for.
-* **Request coalescing.** Duplicate in-flight ``(source, target)``
-  queries share one ticket: the first submit enqueues it, later ones
-  attach as extra waiters, and a single engine query feeds them all.
-  Under a hot-pair workload this turns a thundering herd into one
-  cache miss. Correctness is unaffected — every waiter receives the
-  same payment pinned to the same ``graph_version``.
 * **Write-through updates.** ``update_cost`` / ``add_node`` /
   ``remove_node`` bypass the queue: the engine's writer lock already
   serializes them, and queueing mutations behind queries would only
@@ -37,10 +32,10 @@ read-lock hold that served the query — so callers can replay a serial
 oracle against the recorded update history and verify bit-identity
 (``tests/test_service.py`` and ``benchmarks/bench_service.py`` do).
 
-Observability: counters under ``service.*`` (requests, coalesced,
-rejected, timeouts, updates, batches), latency histograms
+Observability: counters under ``service.*`` (requests, rejected,
+timeouts, updates, batches), latency histograms
 (``service.price_time``, ``service.batch_time``,
-``service.update_time``) and queue-depth gauges, all in the process
+``service.update_time``) and a queue-depth gauge, all in the process
 registry (:mod:`repro.obs.metrics`) next to the ``engine.*`` family.
 """
 
@@ -49,7 +44,6 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple
 
@@ -60,8 +54,9 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
+from repro.io import deadline_budget
 from repro.obs import logging as obs_logging
-from repro.obs.context import current_request_id, request_scope
+from repro.obs.context import request_scope
 from repro.obs.flight import FLIGHT
 from repro.obs.metrics import REGISTRY as _metrics
 
@@ -70,7 +65,6 @@ __all__ = [
     "ServiceStats",
     "PricedAnswer",
     "BatchAnswer",
-    "DegradePolicy",
 ]
 
 _log = obs_logging.get_logger("service")
@@ -81,24 +75,19 @@ class ServiceStats:
     """Always-on serving counters (mirrored under ``service.*`` in the
     obs registry when collectors are enabled).
 
-    ``requests`` counts admitted price queries (coalesced attaches
-    included), ``batches`` admitted ``price_many`` calls, ``coalesced``
-    requests served by attaching to an already-in-flight duplicate,
-    ``rejected`` queue-full rejections (the 429s), ``timeouts``
-    deadline expiries (the 504s — waiter gave up or the ticket expired
-    in queue), ``updates`` applied mutations, ``degraded`` answers
-    served from the last-committed cache instead of a fresh snapshot
-    read, ``expired`` tickets a worker skipped because their deadline
-    passed while they sat in the admission queue.
+    ``requests`` counts admitted price queries, ``batches`` admitted
+    ``price_many`` calls, ``rejected`` queue-full rejections (the
+    429s), ``timeouts`` deadline expiries (the 504s — waiter gave up or
+    the ticket expired in queue), ``updates`` applied mutations,
+    ``expired`` tickets a worker skipped because their deadline passed
+    while they sat in the admission queue.
     """
 
     requests: int = 0
     batches: int = 0
-    coalesced: int = 0
     rejected: int = 0
     timeouts: int = 0
     updates: int = 0
-    degraded: int = 0
     expired: int = 0
 
     def as_dict(self) -> dict:
@@ -106,48 +95,12 @@ class ServiceStats:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class DegradePolicy:
-    """When may :meth:`PricingService.price` serve a stale cached answer?
-
-    Degraded mode trades freshness for availability: instead of a
-    blind 429 (queue saturated) or 503 (engine mid-recovery), a pair
-    that has been answered before may be served its **last-committed**
-    answer, stamped ``degraded=True`` and carrying the (possibly
-    stale) ``graph_version`` it was originally computed at — explicit,
-    verifiable staleness, never a silently wrong price.
-
-    ``on_overload`` / ``while_recovering`` gate the two triggers;
-    ``max_age_s`` bounds how stale a cached answer may be (``None`` =
-    any age); ``max_entries`` caps the LRU cache of last answers.
-    The default policy is what you get from ``DegradePolicy()``;
-    passing ``degrade=None`` to the service disables degraded mode
-    entirely (the pre-existing strict behavior).
-    """
-
-    on_overload: bool = True
-    while_recovering: bool = True
-    max_age_s: float | None = None
-    max_entries: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise InvalidRequestError("max_entries must be >= 1")
-        if self.max_age_s is not None and self.max_age_s <= 0:
-            raise InvalidRequestError("max_age_s must be positive or None")
-
-
 class PricedAnswer(NamedTuple):
-    """One served query: the payment, the engine version it was priced
-    at, whether this caller coalesced onto another's ticket, and
-    whether the answer came from the degraded-mode cache (in which
-    case ``graph_version`` names the stale snapshot it was computed
-    at, not the engine's current version)."""
+    """One served query: the payment and the engine version it was
+    priced at."""
 
     payment: object
     graph_version: int
-    coalesced: bool
-    degraded: bool = False
 
 
 class BatchAnswer(NamedTuple):
@@ -158,18 +111,19 @@ class BatchAnswer(NamedTuple):
 
 
 class _Ticket:
-    """One unit of queued work, shared by every coalesced waiter."""
+    """One unit of queued work and the one caller waiting on it."""
 
     __slots__ = (
-        "kind", "key", "pairs", "deadline",
+        "kind", "key", "pairs", "budget", "deadline",
         "done", "result", "version", "error",
     )
 
-    def __init__(self, kind: str, deadline: float) -> None:
+    def __init__(self, kind: str, budget: float) -> None:
         self.kind = kind  # "pair" | "batch"
         self.key: tuple[int, int] | None = None
         self.pairs: list[tuple[int, int]] | None = None
-        self.deadline = deadline  # monotonic absolute
+        self.budget = budget
+        self.deadline = time.monotonic() + budget
         self.done = threading.Event()
         self.result = None
         self.version = -1
@@ -200,11 +154,6 @@ class PricingService:
     deadline_s:
         Default per-request deadline (overridable per call); expiry
         raises :class:`~repro.errors.DeadlineExceededError` (504).
-    degrade:
-        A :class:`DegradePolicy` enabling degraded-mode serving
-        (stale-but-stamped answers when the queue is saturated or the
-        engine is mid-recovery); ``None`` (default) keeps the strict
-        429/503 behavior.
     """
 
     def __init__(
@@ -213,7 +162,6 @@ class PricingService:
         workers: int = 4,
         max_queue: int = 64,
         deadline_s: float = 30.0,
-        degrade: DegradePolicy | None = None,
     ) -> None:
         if workers < 1:
             raise InvalidRequestError(f"workers must be >= 1, got {workers}")
@@ -221,28 +169,14 @@ class PricingService:
             raise InvalidRequestError(
                 f"max_queue must be >= 1, got {max_queue}"
             )
-        if deadline_s <= 0:
-            raise InvalidRequestError(
-                f"deadline_s must be positive, got {deadline_s}"
-            )
         self._engine = engine
-        self._deadline_s = float(deadline_s)
+        self._deadline_s = deadline_budget(deadline_s)
         self._queue: queue.Queue[_Ticket | None] = queue.Queue(
             maxsize=int(max_queue)
         )
         self._max_queue = int(max_queue)
-        # (source, target) -> in-flight ticket; the coalescing map.
-        self._inflight: dict[tuple[int, int], _Ticket] = {}
         self._mu = threading.Lock()
         self._closed = False
-        self._degrade = degrade
-        self._recovering = False
-        # (source, target) -> (payment, version, monotonic commit time);
-        # the degraded-mode LRU of last-committed answers (guarded by
-        # _mu, maintained only when a policy is set).
-        self._last_good: OrderedDict[
-            tuple[int, int], tuple[object, int, float]
-        ] = OrderedDict()
         self.stats = ServiceStats()
         self._workers = [
             threading.Thread(
@@ -282,28 +216,6 @@ class PricingService:
         """Deadline applied when a request does not carry its own."""
         return self._deadline_s
 
-    @property
-    def degrade_policy(self) -> DegradePolicy | None:
-        """The degraded-mode policy, or ``None`` when disabled."""
-        return self._degrade
-
-    @property
-    def recovering(self) -> bool:
-        """True while the engine is flagged as mid-recovery."""
-        return self._recovering
-
-    def set_recovering(self, flag: bool) -> None:
-        """Flag the engine as (not) mid-recovery.
-
-        While set, ``/readyz`` reports not-ready and — with a
-        :class:`DegradePolicy` whose ``while_recovering`` is on —
-        :meth:`price` serves cached last-committed answers instead of
-        queueing fresh work.
-        """
-        self._recovering = bool(flag)
-        if _metrics.enabled:
-            _metrics.set_gauge("service.recovering", 1.0 if flag else 0.0)
-
     def __repr__(self) -> str:
         return (
             f"PricingService(workers={len(self._workers)}, "
@@ -318,58 +230,13 @@ class PricingService:
     def _update_gauges(self) -> None:
         if _metrics.enabled:
             _metrics.set_gauge("service.queue_depth", self.queue_depth)
-            _metrics.set_gauge("service.inflight", len(self._inflight))
 
-    def _resolve_deadline(self, deadline_s: float | None) -> float:
-        budget = self._deadline_s if deadline_s is None else float(deadline_s)
-        if budget <= 0:
-            raise InvalidRequestError(
-                f"deadline_s must be positive, got {budget}"
-            )
-        return time.monotonic() + budget
-
-    # -- degraded mode -------------------------------------------------------
-
-    def _degraded_answer_locked(
-        self, key: tuple[int, int]
-    ) -> PricedAnswer | None:
-        """The cached last-committed answer for ``key`` (caller holds _mu).
-
-        Returns ``None`` when nothing usable is cached — the caller
-        then falls through to the strict path (queue or reject).
-        """
-        policy = self._degrade
-        entry = self._last_good.get(key)
-        if policy is None or entry is None:
-            return None
-        payment, version, committed_at = entry
-        if (
-            policy.max_age_s is not None
-            and time.monotonic() - committed_at > policy.max_age_s
-        ):
-            return None
-        self._last_good.move_to_end(key)
-        self.stats.degraded += 1
-        self._count("degraded")
-        FLIGHT.record(
-            "service.degraded",
-            request_id=current_request_id(),
-            version=version,
+    def _new_ticket(self, kind: str, deadline_s: float | None) -> _Ticket:
+        budget = (
+            self._deadline_s if deadline_s is None
+            else deadline_budget(deadline_s)
         )
-        return PricedAnswer(
-            payment, version, coalesced=False, degraded=True
-        )
-
-    def _record_last_good_locked(
-        self, key: tuple[int, int], payment: object, version: int
-    ) -> None:
-        policy = self._degrade
-        if policy is None:
-            return
-        self._last_good[key] = (payment, version, time.monotonic())
-        self._last_good.move_to_end(key)
-        while len(self._last_good) > policy.max_entries:
-            self._last_good.popitem(last=False)
+        return _Ticket(kind, budget)
 
     # -- queries -------------------------------------------------------------
 
@@ -378,60 +245,16 @@ class PricingService:
     ) -> PricedAnswer:
         """Price one request through the admission queue.
 
-        Coalesces onto an in-flight duplicate when one exists. Raises
-        :class:`~repro.errors.ServiceOverloadedError` on a full queue,
-        :class:`~repro.errors.DeadlineExceededError` on expiry,
+        Raises :class:`~repro.errors.ServiceOverloadedError` on a full
+        queue, :class:`~repro.errors.DeadlineExceededError` on expiry,
         :class:`~repro.errors.ServiceClosedError` after :meth:`close`,
         and otherwise exactly what the engine raises
         (:class:`~repro.errors.DisconnectedError`, ...).
         """
-        deadline = self._resolve_deadline(deadline_s)
-        key = (int(source), int(target))
-        with self._mu:
-            if self._closed:
-                raise ServiceClosedError(
-                    "service is draining; request not admitted"
-                )
-            policy = self._degrade
-            if (
-                self._recovering
-                and policy is not None
-                and policy.while_recovering
-            ):
-                stale = self._degraded_answer_locked(key)
-                if stale is not None:
-                    return stale
-            ticket = self._inflight.get(key)
-            coalesced = ticket is not None
-            if coalesced:
-                # Attach to the duplicate's ticket. Keep the ticket
-                # alive at least as long as the latest waiter cares.
-                ticket.deadline = max(ticket.deadline, deadline)
-                self.stats.coalesced += 1
-                self._count("coalesced")
-            else:
-                ticket = _Ticket("pair", deadline)
-                ticket.key = key
-                try:
-                    self._queue.put_nowait(ticket)
-                except queue.Full:
-                    if policy is not None and policy.on_overload:
-                        stale = self._degraded_answer_locked(key)
-                        if stale is not None:
-                            return stale
-                    self.stats.rejected += 1
-                    self._count("rejected")
-                    raise ServiceOverloadedError(
-                        f"admission queue full ({self._max_queue} "
-                        "tickets); retry with backoff"
-                    ) from None
-                self._inflight[key] = ticket
-            self.stats.requests += 1
-            self._count("requests")
-            self._update_gauges()
-        return PricedAnswer(
-            *self._await_ticket(ticket, deadline), coalesced=coalesced
-        )
+        ticket = self._new_ticket("pair", deadline_s)
+        ticket.key = (int(source), int(target))
+        self._admit(ticket, "requests")
+        return PricedAnswer(*self._await_ticket(ticket))
 
     def price_many(
         self,
@@ -440,22 +263,24 @@ class PricingService:
     ) -> BatchAnswer:
         """Price a batch through the admission queue (one ticket).
 
-        Batches are not coalesced (each is assumed distinct) but share
-        the queue's backpressure and deadline rules; the whole batch is
-        priced under one engine read-lock hold, so every payment in the
-        answer carries the same ``graph_version``.
+        Batches share the queue's backpressure and deadline rules; the
+        whole batch is priced under one engine read-lock hold, so every
+        payment in the answer carries the same ``graph_version``.
         """
-        deadline = self._resolve_deadline(deadline_s)
-        batch = [(int(s), int(t)) for s, t in pairs]
-        if not batch:
+        ticket = self._new_ticket("batch", deadline_s)
+        ticket.pairs = [(int(s), int(t)) for s, t in pairs]
+        if not ticket.pairs:
             raise InvalidRequestError("pairs must be non-empty")
+        self._admit(ticket, "batches")
+        return BatchAnswer(*self._await_ticket(ticket))
+
+    def _admit(self, ticket: _Ticket, counter: str) -> None:
+        """Enqueue ``ticket`` or fail fast (closed: 503, full: 429)."""
         with self._mu:
             if self._closed:
                 raise ServiceClosedError(
                     "service is draining; request not admitted"
                 )
-            ticket = _Ticket("batch", deadline)
-            ticket.pairs = batch
             try:
                 self._queue.put_nowait(ticket)
             except queue.Full:
@@ -465,19 +290,17 @@ class PricingService:
                     f"admission queue full ({self._max_queue} tickets); "
                     "retry with backoff"
                 ) from None
-            self.stats.batches += 1
-            self._count("batches")
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            self._count(counter)
             self._update_gauges()
-        return BatchAnswer(*self._await_ticket(ticket, deadline))
 
-    def _await_ticket(self, ticket: _Ticket, deadline: float):
-        remaining = deadline - time.monotonic()
+    def _await_ticket(self, ticket: _Ticket):
+        remaining = ticket.deadline - time.monotonic()
         if not ticket.done.wait(timeout=max(0.0, remaining)):
             self.stats.timeouts += 1
             self._count("timeouts")
             raise DeadlineExceededError(
-                f"request deadline expired after "
-                f"{self._deadline_s if remaining <= 0 else remaining:.3f}s "
+                f"request deadline of {ticket.budget:.3f}s expired "
                 "waiting for an answer"
             )
         if ticket.error is not None:
@@ -544,8 +367,7 @@ class PricingService:
         if t0 >= ticket.deadline:
             # Expired while queued: don't burn engine time on an
             # answer nobody is waiting for. The waiter already raised
-            # (and counted) its own timeout; setting the error keeps
-            # late coalescers honest too.
+            # (and counted) its own timeout.
             self.stats.expired += 1
             self._count("expired_in_queue")
             FLIGHT.record("service.expired_in_queue")
@@ -563,19 +385,8 @@ class PricingService:
                         ticket.result, ticket.version = (
                             self._engine.price_many_versioned(ticket.pairs)
                         )
-            except BaseException as exc:  # delivered to every waiter
+            except BaseException as exc:  # delivered to the waiter
                 ticket.error = exc
-        # Unregister before waking waiters: a waiter that immediately
-        # re-submits the same key must start a fresh ticket, not
-        # re-attach to this finished one. Committed answers also feed
-        # the degraded-mode cache under the same lock hold.
-        if ticket.key is not None:
-            with self._mu:
-                self._inflight.pop(ticket.key, None)
-                if ticket.error is None:
-                    self._record_last_good_locked(
-                        ticket.key, ticket.result, ticket.version
-                    )
         ticket.done.set()
         if _metrics.enabled:
             name = (
@@ -614,7 +425,6 @@ class PricingService:
             "service drained",
             extra={
                 "requests": self.stats.requests,
-                "coalesced": self.stats.coalesced,
                 "rejected": self.stats.rejected,
                 "timeouts": self.stats.timeouts,
                 "updates": self.stats.updates,

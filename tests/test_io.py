@@ -328,8 +328,7 @@ class TestWireEnvelopes:
 
         payment = vcg_unicast_payments(random_graph, 5, 0)
         for resp in (
-            PriceResponse(payment, graph_version=3, request_id="r1-1",
-                          coalesced=True),
+            PriceResponse(payment, graph_version=3, request_id="r1-1"),
             PriceManyResponse((payment,), graph_version=3, request_id="r1-2"),
             UpdateResponse(graph_version=4, request_id="r1-3", node=7),
             GraphResponse(random_graph, graph_version=4, model="node",
@@ -367,25 +366,35 @@ class TestWireEnvelopes:
             TestMigrations._cleanup(TestMigrations(), [("node-graph", 0)])
 
 
-class TestDegradedStamp:
-    """The ``degraded`` wire key: present iff True (byte-identity)."""
+class TestLegacyPriceResponseKeys:
+    """Older servers stamped ``coalesced`` (always) and ``degraded``
+    (when set) on every ``price-response``; a current client must
+    still decode those answers."""
 
-    def test_round_trip_and_absent_key_default(self, random_graph):
+    def test_coalesced_and_degraded_keys_still_decode(self, random_graph):
         from repro.io import PriceResponse, from_wire, to_wire
 
         payment = vcg_unicast_payments(random_graph, 5, 0)
-        fresh = PriceResponse(payment, graph_version=2, request_id="r1")
-        doc = to_wire(fresh)
-        # Fresh answers never carry the key: the serialized bytes are
-        # indistinguishable from a build that predates degraded mode.
-        assert "degraded" not in doc["data"]
-        assert from_wire(json.loads(json.dumps(doc))).degraded is False
-
-        stale = PriceResponse(
-            payment, graph_version=2, request_id="r2", degraded=True
-        )
-        doc = to_wire(stale)
-        assert doc["data"]["degraded"] is True
+        doc = to_wire(PriceResponse(payment, graph_version=2, request_id="r1"))
+        assert set(doc["data"]) == {"payment", "graph_version", "request_id"}
+        doc["data"].update(coalesced=True, degraded=True)
         back = from_wire(json.loads(json.dumps(doc)))
-        assert back.degraded is True
-        assert back.graph_version == 2
+        assert isinstance(back, PriceResponse)
+        assert back.graph_version == 2 and back.request_id == "r1"
+        assert back.payment.path == payment.path
+
+
+class TestNodeIds:
+    """Request node ids accept any integer type (the wire test in
+    ``test_service.py`` covers what they refuse)."""
+
+    def test_numpy_ints_accepted_as_plain_ints(self):
+        from repro.io import PriceManyRequest, PriceRequest, UpdateRequest
+
+        req = PriceRequest(np.int64(3), np.int32(0))
+        assert (req.source, req.target) == (3, 0)
+        assert type(req.source) is int
+        batch = PriceManyRequest(((np.int64(1), np.uint8(0)),))
+        assert batch.pairs == ((1, 0),)
+        upd = UpdateRequest(op="add_node", neighbors=(np.int16(2),))
+        assert upd.neighbors == (2,) and type(upd.neighbors[0]) is int

@@ -718,10 +718,10 @@ class TestSupervisor:
     def test_serve_argv_shape(self):
         argv = serve_argv(
             "py", nodes=24, seed=7, port=8080, checkpoint_dir="/tmp/x",
-            extra=("--degrade",),
+            extra=("--chaos", "{}"),
         )
         assert argv[:4] == ["py", "-m", "repro.cli", "serve"]
-        assert "--degrade" in argv and "/tmp/x" in argv
+        assert argv[-2:] == ["--chaos", "{}"] and "/tmp/x" in argv
 
     def test_kill9_midload_recovers_to_bit_identical_answers(self, tmp_path):
         port = _free_port()

@@ -5,8 +5,8 @@ through :class:`~repro.service.PricingService` while writer threads
 mutate costs, every answer is pinned to the ``graph_version`` it was
 computed at, and afterwards a serial replay of the recorded update
 history must reproduce every payment bit-identically. Around it:
-RWLock semantics, coalescing, backpressure (429), deadlines (504),
-graceful drain, and the HTTP wire surface.
+RWLock semantics, backpressure (429), deadlines (504), graceful drain,
+and the HTTP wire surface.
 """
 
 import json
@@ -29,7 +29,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.graph import generators as gen
-from repro.service import DegradePolicy, PricingService, ServiceServer
+from repro.service import PricingService, ServiceServer
 
 
 def wait_until(predicate, timeout=5.0, interval=0.005):
@@ -239,56 +239,16 @@ class TestServiceBasics:
             PricingService(eng, workers=0)
         with pytest.raises(InvalidRequestError):
             PricingService(eng, max_queue=0)
-        with pytest.raises(InvalidRequestError):
-            PricingService(eng, deadline_s=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidRequestError):
+                PricingService(eng, deadline_s=bad)
         svc = PricingService(eng)
-        with pytest.raises(InvalidRequestError):
-            svc.price(1, 0, deadline_s=-1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidRequestError):
+                svc.price(1, 0, deadline_s=bad)
         with pytest.raises(InvalidRequestError):
             svc.price_many([])
         svc.close()
-
-
-class TestCoalescing:
-    def test_duplicate_inflight_requests_share_one_ticket(self):
-        g = gen.random_biconnected_graph(24, seed=11)
-        eng = PricingEngine(g, on_monopoly="inf")
-        svc = PricingService(eng, workers=2, max_queue=16, deadline_s=10.0)
-        k = 6
-        answers = []
-        errors = []
-        started = threading.Barrier(k + 1, timeout=5)
-
-        def submit():
-            started.wait()
-            try:
-                answers.append(svc.price(9, 0))
-            except BaseException as exc:  # pragma: no cover - fail below
-                errors.append(exc)
-
-        with eng.paused():  # workers cannot serve yet
-            threads = [threading.Thread(target=submit) for _ in range(k)]
-            for t in threads:
-                t.start()
-            started.wait()
-            # every duplicate must have attached to the first ticket
-            wait_until(lambda: svc.stats.requests == k)
-        for t in threads:
-            t.join(timeout=10)
-        assert not errors
-        assert len(answers) == k
-        assert svc.stats.coalesced == k - 1
-        assert sum(1 for a in answers if not a.coalesced) == 1
-        keys = {answer_key(a.payment) for a in answers}
-        versions = {a.graph_version for a in answers}
-        assert len(keys) == 1 and versions == {0}
-        svc.close()
-
-    def test_finished_ticket_not_reused(self, service):
-        a = service.price(5, 0)
-        b = service.price(5, 0)
-        assert not a.coalesced and not b.coalesced
-        assert service.stats.coalesced == 0
 
 
 class TestBackpressure:
@@ -343,38 +303,36 @@ class TestBackpressure:
         # A later request for the expired key starts fresh and succeeds.
         answer = svc.price(2, 0)
         assert answer.payment is not None
-        assert not answer.degraded
         svc.close()
 
-    def test_expired_ticket_error_reaches_late_coalescers(self):
-        """A waiter that attached to a ticket which then expired in the
-        queue gets the worker's DeadlineExceededError, not a hang."""
+    def test_same_key_waiters_expire_on_separate_tickets(self):
+        """Two same-key requests each queue their own ticket; when both
+        expire in the queue, each waiter gets DeadlineExceededError and
+        the worker skips both tickets."""
         g = gen.random_biconnected_graph(24, seed=16)
         eng = PricingEngine(g, on_monopoly="inf")
         svc = PricingService(eng, workers=1, max_queue=4, deadline_s=10.0)
         with eng.paused():
             blocker_thread, blocker = _submit_async(svc, 1, 0)
             wait_until(lambda: svc.queue_depth == 0 and svc.stats.requests == 1)
-            # Queue a short-deadline ticket, then coalesce a second
-            # waiter onto the same key with the same short deadline:
-            # both expire in the queue while the worker is stuck.
             t2, box2 = _submit_async_deadline(svc, 2, 0, deadline_s=0.2)
-            wait_until(lambda: svc.stats.requests == 2)
             t3, box3 = _submit_async_deadline(svc, 2, 0, deadline_s=0.2)
-            wait_until(lambda: svc.stats.coalesced == 1)
+            wait_until(lambda: svc.queue_depth == 2)
             time.sleep(0.5)  # both expire while the worker is stuck
         blocker_thread.join(timeout=10)
         for th, box in ((t2, box2), (t3, box3)):
             th.join(timeout=10)
             assert isinstance(box["error"], DeadlineExceededError)
         assert blocker["error"] is None
-        wait_until(lambda: svc.stats.expired == 1)
+        wait_until(lambda: svc.stats.expired == 2)
+        assert svc.stats.timeouts == 2
         svc.close()
 
-    def test_close_racing_inflight_coalesced_burst(self):
-        """close() must drain a burst of coalesced waiters cleanly:
-        every waiter that was admitted before the drain gets the one
-        shared answer, and none deadlocks against the drain."""
+    def test_close_drains_inflight_same_key_burst(self):
+        """close() must drain a burst of same-key requests cleanly:
+        every request admitted before the drain is priced on its own
+        ticket to the same answer, and none deadlocks against the
+        drain."""
         g = gen.random_biconnected_graph(24, seed=17)
         eng = PricingEngine(g, on_monopoly="inf")
         svc = PricingService(eng, workers=2, max_queue=16, deadline_s=30.0)
@@ -382,7 +340,8 @@ class TestBackpressure:
         with eng.paused():
             waiters = [_submit_async(svc, 5, 0) for _ in range(k)]
             wait_until(lambda: svc.stats.requests == k)
-            assert svc.stats.coalesced == k - 1
+            # Two tickets sit with the stuck workers, the rest queue.
+            wait_until(lambda: svc.queue_depth == k - 2)
             # Start the drain while every waiter is still in flight;
             # it blocks on the stuck worker until the pause lifts.
             closer = threading.Thread(target=svc.close)
@@ -598,9 +557,11 @@ def _post(url, obj, timeout=10.0):
         return resp.status, dict(resp.headers), json.load(resp)
 
 
-def _post_raw(url, body, timeout=10.0):
+def _post_raw(url, body, timeout=10.0, headers=None):
     req = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}
+        url,
+        data=body,
+        headers={"Content-Type": "application/json", **(headers or {})},
     )
     try:
         with urllib.request.urlopen(req, timeout=timeout) as resp:
@@ -714,10 +675,10 @@ class TestHTTP:
         assert doc["engine_version"] == 0
         assert doc["model"] == "node"
         assert doc["max_queue"] == 16
-        assert doc["recovering"] is False
+        assert "recovering" not in doc
         assert set(doc["service"]) == {
-            "requests", "batches", "coalesced", "rejected",
-            "timeouts", "updates", "degraded", "expired",
+            "requests", "batches", "rejected", "timeouts", "updates",
+            "expired",
         }
 
     def test_healthz_reports_peak_rss(self, http_server):
@@ -755,6 +716,69 @@ class TestHTTP:
         assert isinstance(err, repro_io.ErrorResponse)
         assert err.code == "request.invalid"
         assert "Content-Length" in err.message
+
+    @pytest.mark.parametrize("path", ["/v1/price", "/v1/price_many"])
+    @pytest.mark.parametrize("where", ["body", "header"])
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_deadline_maps_to_400(
+        self, http_server, path, where, budget
+    ):
+        if path == "/v1/price":
+            tag, data = "price-request", {"source": 5, "target": 0}
+        else:
+            tag, data = "price-many-request", {"pairs": [[5, 0]]}
+        headers = {}
+        if where == "body":
+            data["deadline_s"] = float(budget)  # JSON NaN / Infinity
+        else:
+            headers["X-Deadline-S"] = budget
+        doc = {"format": tag, "schema_version": 1, "data": data}
+        status, err_doc = _post_raw(
+            f"{http_server.url}{path}", json.dumps(doc).encode(),
+            headers=headers,
+        )
+        assert status == 400
+        err = repro_io.from_wire(err_doc)
+        assert err.code == "request.invalid"
+        assert "finite positive" in err.message
+
+    @pytest.mark.parametrize(
+        "path, data",
+        [
+            ("/v1/price", {"source": 1.5, "target": 0}),
+            ("/v1/price", {"source": True, "target": 0}),
+            ("/v1/price", {"source": 2.0, "target": 0}),
+            ("/v1/price", {"source": "3", "target": 0}),
+            ("/v1/price", {"source": 5, "target": 0.5}),
+            ("/v1/price_many", {"pairs": [[5, 0], [1.5, 0]]}),
+            ("/v1/update", {"op": "cost", "node": 3.7, "value": 2.0}),
+            ("/v1/update", {"op": "remove_node", "node": True}),
+            ("/v1/update", {"op": "cost", "edge": [1, 2.5], "value": 2.0}),
+            ("/v1/update", {"op": "add_node", "neighbors": [0, 1.5]}),
+            ("/v1/update", {"op": "add_node", "arcs": [[0, 1.5, 2.0]]}),
+        ],
+        ids=[
+            "source-float", "source-bool", "source-integral-float",
+            "source-string", "target-float", "pairs-float",
+            "node-float", "node-bool", "edge-float", "neighbors-float",
+            "arcs-float",
+        ],
+    )
+    def test_non_integer_node_id_maps_to_400(self, http_server, path, data):
+        tag = {
+            "/v1/price": "price-request",
+            "/v1/price_many": "price-many-request",
+            "/v1/update": "update-request",
+        }[path]
+        doc = {"format": tag, "schema_version": 1, "data": data}
+        status, err_doc = _post_raw(
+            f"{http_server.url}{path}", json.dumps(doc).encode()
+        )
+        assert status == 400
+        assert repro_io.from_wire(err_doc).code == "io.serialization"
+        # Nothing was priced or applied for a truncated id.
+        assert http_server.service.engine.version == 0
+        assert http_server.service.stats.requests == 0
 
     def test_unknown_path_404_lists_endpoints(self, http_server):
         try:
@@ -820,26 +844,6 @@ class TestReadyz:
         assert doc["ready"] is True
         assert doc["reasons"] == []
 
-    def test_not_ready_while_recovering(self, http_server):
-        http_server.service.set_recovering(True)
-        try:
-            try:
-                urllib.request.urlopen(f"{http_server.url}/readyz", timeout=10)
-                pytest.fail("expected HTTP 503")
-            except urllib.error.HTTPError as err:
-                assert err.code == 503
-                doc = json.load(err)
-            assert doc["ready"] is False
-            assert doc["reasons"] == ["recovering"]
-            # Liveness is unaffected: don't kill a recovering process.
-            with urllib.request.urlopen(
-                f"{http_server.url}/healthz", timeout=10
-            ) as r:
-                assert r.status == 200
-                assert json.load(r)["recovering"] is True
-        finally:
-            http_server.service.set_recovering(False)
-
     def test_not_ready_while_draining(self, http_server):
         http_server.service.close()
         try:
@@ -853,96 +857,3 @@ class TestReadyz:
             f"{http_server.url}/healthz", timeout=10
         ) as r:
             assert json.load(r)["status"] == "draining"
-
-
-class TestDegradedMode:
-    def _degradable(self, policy=None):
-        g = gen.random_biconnected_graph(24, seed=33)
-        eng = PricingEngine(g, on_monopoly="inf")
-        svc = PricingService(
-            eng,
-            workers=1,
-            max_queue=1,
-            deadline_s=30.0,
-            degrade=policy or DegradePolicy(),
-        )
-        return g, eng, svc
-
-    def test_overload_serves_stamped_stale_answer(self):
-        g, eng, svc = self._degradable()
-        fresh = svc.price(5, 0)  # warm the last-committed cache
-        assert not fresh.degraded
-        with eng.paused():
-            _submit_async(svc, 1, 0)
-            wait_until(
-                lambda: svc.queue_depth == 0 and svc.stats.requests == 2
-            )
-            _submit_async(svc, 2, 0)
-            wait_until(lambda: svc.queue_depth == 1)
-            # Saturated: the cached pair degrades instead of 429...
-            stale = svc.price(5, 0)
-            assert stale.degraded
-            assert stale.graph_version == fresh.graph_version
-            assert answer_key(stale.payment) == answer_key(fresh.payment)
-            assert svc.stats.degraded == 1
-            # ... while an unknown pair still gets the honest 429.
-            with pytest.raises(ServiceOverloadedError):
-                svc.price(7, 0)
-        svc.close()
-
-    def test_recovering_serves_from_cache_without_queueing(self):
-        g, eng, svc = self._degradable()
-        fresh = svc.price(5, 0)
-        svc.set_recovering(True)
-        stale = svc.price(5, 0)
-        assert stale.degraded
-        assert answer_key(stale.payment) == answer_key(fresh.payment)
-        # Unknown keys fall through to the normal (live) path.
-        live = svc.price(9, 0)
-        assert not live.degraded
-        svc.set_recovering(False)
-        svc.close()
-
-    def test_max_age_bounds_staleness(self):
-        g, eng, svc = self._degradable(
-            DegradePolicy(max_age_s=0.05, max_entries=64)
-        )
-        svc.price(5, 0)
-        time.sleep(0.1)  # cache entry ages past the bound
-        with eng.paused():
-            _submit_async(svc, 1, 0)
-            wait_until(
-                lambda: svc.queue_depth == 0 and svc.stats.requests == 2
-            )
-            _submit_async(svc, 2, 0)
-            wait_until(lambda: svc.queue_depth == 1)
-            with pytest.raises(ServiceOverloadedError):
-                svc.price(5, 0)
-        svc.close()
-
-    def test_degraded_stamp_on_the_wire_and_absent_when_fresh(self):
-        g = gen.random_biconnected_graph(24, seed=34)
-        eng = PricingEngine(g, on_monopoly="inf")
-        svc = PricingService(
-            eng, workers=1, max_queue=1, deadline_s=30.0,
-            degrade=DegradePolicy(),
-        )
-        server = ServiceServer(svc, port=0).start()
-        try:
-            _, _, fresh_doc = _post(
-                f"{server.url}/v1/price", repro_io.PriceRequest(5, 0)
-            )
-            # Fresh answers never carry the key at all — the wire bytes
-            # match a build that predates degraded mode.
-            assert "degraded" not in fresh_doc["data"]
-            svc.set_recovering(True)
-            _, _, stale_doc = _post(
-                f"{server.url}/v1/price", repro_io.PriceRequest(5, 0)
-            )
-            assert stale_doc["data"]["degraded"] is True
-            resp = repro_io.from_wire(stale_doc)
-            assert resp.degraded
-        finally:
-            svc.set_recovering(False)
-            server.stop()
-            svc.close()

@@ -19,10 +19,7 @@ retrying through the outage.
 The gate: afterwards, a **serial oracle replay** of the recorded
 update history recomputes every priced answer at its pinned
 ``graph_version`` — every payment must match bit-identically
-(``path``, ``lcp_cost``, and each per-node payment). Degraded answers
-(stamped ``degraded=true``) are reported separately and excluded from
-the exact gate, since their contract is "possibly stale but correctly
-versioned" — the replay still checks them *at the version they claim*.
+(``path``, ``lcp_cost``, and each per-node payment).
 
 Exit codes: 0 green; 1 mismatches/unverifiable answers; 2 operational
 failure (server never ready, client gave up, restart budget spent).
@@ -127,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
 
             mu = threading.Lock()
             updates: list[tuple[int, int, float]] = []
-            records: list[tuple[int, int, int, object, bool]] = []
+            records: list[tuple[int, int, int, object]] = []
             failures: list[str] = []
             stop_at = time.monotonic() + args.duration
 
@@ -162,10 +159,9 @@ def main(argv: list[str] | None = None) -> int:
                                 s = rng.randrange(1, args.nodes)
                                 resp = client.price(s, 0)
                                 with mu:
-                                    records.append((
-                                        s, 0, resp.graph_version,
-                                        resp.payment, resp.degraded,
-                                    ))
+                                    records.append(
+                                        (s, 0, resp.graph_version, resp.payment)
+                                    )
                         except ReproError as exc:
                             with mu:
                                 failures.append(
@@ -217,10 +213,8 @@ def main(argv: list[str] | None = None) -> int:
             current = current.with_declaration(node, value)
             graph_at[version] = current
         oracle: dict[tuple[int, int, int], tuple] = {}
-        mismatches = unverifiable = degraded = 0
-        for s, t, version, payment, was_degraded in records:
-            if was_degraded:
-                degraded += 1
+        mismatches = unverifiable = 0
+        for s, t, version, payment in records:
             if version not in graph_at:
                 unverifiable += 1
                 continue
@@ -232,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
             if _answer_key(payment) != oracle[key]:
                 mismatches += 1
         print(
-            f"chaos_smoke: {len(records)} answers ({degraded} degraded), "
+            f"chaos_smoke: {len(records)} answers, "
             f"{len(set(updates))} updates, {restarts} restart(s), "
             f"{len(oracle)} oracle keys, {mismatches} mismatches, "
             f"{unverifiable} unverifiable"
