@@ -41,14 +41,14 @@ Subcommands:
   exactly as for ``engine``; ``--duration SECONDS`` serves for a fixed
   window, otherwise SIGINT/SIGTERM drains in-flight requests, cuts a
   final checkpoint (durable engines) and exits cleanly. ``--chaos
-  PLAN`` (or the ``REPRO_CHAOS`` env var) attaches a seeded
-  fault-injection plan.
+  PLAN`` attaches a seeded fault-injection plan.
 * ``client`` — drive a running service through the resilient
   :class:`~repro.service.PricingClient` (seeded retries with full
   jitter, circuit breaker, deadline propagation, idempotency keys):
   a seeded read/write workload against ``--url``, with ``--verify``
-  replaying the recorded update history through a serial oracle and
-  exiting nonzero on any payment mismatch.
+  checking every answer against the serial oracle
+  (:mod:`repro.engine.oracle`) over this client's own update history
+  and exiting nonzero on any mismatch or unverifiable answer.
 
 Global observability flags (accepted before or after the subcommand):
 ``--log-level LEVEL`` (structured key=value logs on stderr),
@@ -423,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PLAN",
         default=None,
         help="attach a seeded fault-injection plan: inline JSON or a "
-        "path to a JSON file (default: the REPRO_CHAOS env var; "
-        "unset = no injection, byte-identical responses)",
+        "path to a JSON file (default: no injection, byte-identical "
+        "responses)",
     )
 
     cli_client = sub.add_parser(
@@ -851,9 +851,7 @@ def _cmd_serve(args) -> int:
 
     try:
         chaos = (
-            ChaosPlan.from_spec(args.chaos)
-            if args.chaos is not None
-            else ChaosPlan.from_env()
+            ChaosPlan.from_spec(args.chaos) if args.chaos is not None else None
         )
     except ReproError as exc:
         print(f"error [{error_code(exc)}]: {exc}", file=sys.stderr)
@@ -941,7 +939,7 @@ def _cmd_serve(args) -> int:
 def _cmd_client(args) -> int:
     import time
 
-    from repro.core.vcg_unicast import vcg_unicast_payments
+    from repro.engine.oracle import verify
     from repro.errors import ReproError, error_code
     from repro.service import BackoffPolicy, CircuitBreaker, PricingClient
 
@@ -974,8 +972,8 @@ def _cmd_client(args) -> int:
         )
 
     rng = np.random.default_rng(args.seed)
-    records = []  # (s, t, version, payment)
-    updates = []  # (version, node, value)
+    records = []  # (version, s, t, payment)
+    updates = []  # (version, ("cost", node, value))
     failures = 0
     t0 = time.perf_counter()
     for _ in range(args.requests):
@@ -984,11 +982,11 @@ def _cmd_client(args) -> int:
                 node = int(rng.integers(0, n))
                 value = float(rng.uniform(1.0, 10.0))
                 resp = client.update_cost(node, value)
-                updates.append((resp.graph_version, node, value))
+                updates.append((resp.graph_version, ("cost", node, value)))
             else:
                 s = int(rng.integers(1, n))
                 resp = client.price(s, 0)
-                records.append((s, 0, resp.graph_version, resp.payment))
+                records.append((resp.graph_version, s, 0, resp.payment))
         except ReproError as exc:
             failures += 1
             log.warning(
@@ -1018,37 +1016,17 @@ def _cmd_client(args) -> int:
     if not args.verify:
         return 0
 
-    # Serial oracle replay (sole-writer assumption): rebuild the graph
-    # at every version this client observed, recompute each distinct
-    # (version, source, target) from scratch, demand bit-identity.
-    def answer_key(p):
-        return (p.path, p.lcp_cost, tuple(sorted(p.payments.items())))
-
-    graph_at = {v0: g0}
-    current = g0
-    for version, node, value in sorted(set(updates)):
-        current = current.with_declaration(node, value)
-        graph_at[version] = current
-    oracle = {}
-    mismatches = unverifiable = 0
-    for s, t, version, payment in records:
-        if version not in graph_at:
-            unverifiable += 1
-            continue
-        key = (version, s, t)
-        if key not in oracle:
-            want = vcg_unicast_payments(
-                graph_at[version], s, t, method="fast", on_monopoly="inf"
-            )
-            oracle[key] = answer_key(want)
-        if answer_key(payment) != oracle[key]:
-            mismatches += 1
+    # Another writer's update leaves a gap in this client's history;
+    # answers after it count as unverifiable, never as mismatches.
+    verdict = verify(g0, updates, records, base_version=v0)
     print(
-        f"verify: {len(oracle)} distinct (version, pair) keys, "
-        f"{mismatches} mismatches, {unverifiable} unverifiable "
-        "(version outside this client's history)"
+        f"verify: {verdict.checked} answers checked, "
+        f"{verdict.mismatches} mismatches, {verdict.unverifiable} "
+        "unverifiable (after a version this client did not write)"
     )
-    return 0 if mismatches == 0 and unverifiable == 0 else 1
+    for example in verdict.examples:
+        print(f"  mismatch: {example}")
+    return 0 if verdict.mismatches == 0 and verdict.unverifiable == 0 else 1
 
 
 def _dispatch(args) -> int:

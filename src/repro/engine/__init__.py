@@ -21,9 +21,13 @@ crash (see ``docs/engine.md`` for the operations guide).
 lock behind the engine's snapshot isolation: concurrent ``price()``
 calls share the lock while mutations serialize and publish new
 versions atomically (``docs/service.md``).
+
+:mod:`repro.engine.oracle` is the serial oracle every serving gate
+checks answers with, each at the ``graph_version`` it names.
 """
 
 from repro.engine.engine import EngineStats, PricingEngine
+from repro.engine.oracle import Verdict, verify
 from repro.engine.persist import (
     EnginePersistence,
     PersistError,
@@ -54,4 +58,6 @@ __all__ = [
     "save_trace",
     "load_trace",
     "replay",
+    "Verdict",
+    "verify",
 ]

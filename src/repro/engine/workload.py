@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.mechanism import UnicastPayment
 from repro.engine.engine import EngineStats, PricingEngine
+from repro.engine.oracle import answer_key
 from repro.graph.node_graph import NodeWeightedGraph
 from repro.utils.rng import derive_seed
 
@@ -189,14 +190,6 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-def _same_payment(a: UnicastPayment, b: UnicastPayment) -> bool:
-    return (
-        a.path == b.path
-        and a.lcp_cost == b.lcp_cost
-        and dict(a.payments) == dict(b.payments)
-    )
-
-
 def replay(
     engine: PricingEngine,
     ops: Sequence[WorkloadOp],
@@ -247,7 +240,7 @@ def replay(
                     backend=engine.backend,
                     on_monopoly=engine.on_monopoly,
                 )
-                if not _same_payment(fresh, answers[idx]):
+                if answer_key(fresh) != answer_key(answers[idx]):
                     mismatches.append((op.source, op.target))
                 idx += 1
             else:

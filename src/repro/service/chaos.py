@@ -26,9 +26,8 @@ Fault kinds (per matching request, in priority order):
 The plan is **off by default**: a ``None`` plan (or one whose rules
 are all zero-probability) leaves the server's code path and wire bytes
 identical to a chaos-free build — asserted by
-``tests/test_resilience.py``. Plans come from ``--chaos`` / the
-``REPRO_CHAOS`` environment variable as inline JSON or a path to a
-JSON file::
+``tests/test_resilience.py``. Plans come from ``serve --chaos`` as
+inline JSON or a path to a JSON file::
 
     {"seed": 7, "endpoints": {
         "/v1/price": {"error_p": 0.1, "reset_p": 0.05,
@@ -44,7 +43,6 @@ liveness are not confused by injected faults.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -53,10 +51,7 @@ from random import Random
 from repro.errors import InvalidRequestError
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 
-__all__ = ["ChaosRule", "ChaosDecision", "ChaosPlan", "CHAOS_ENV"]
-
-#: Environment variable ``serve`` reads a default plan from.
-CHAOS_ENV = "REPRO_CHAOS"
+__all__ = ["ChaosRule", "ChaosDecision", "ChaosPlan"]
 
 
 @dataclass(frozen=True)
@@ -234,13 +229,3 @@ class ChaosPlan:
                 f"chaos plan is not valid JSON: {exc}"
             ) from exc
         return cls.from_doc(doc, metrics=metrics)
-
-    @classmethod
-    def from_env(cls, environ: dict[str, str] | None = None
-                 ) -> "ChaosPlan | None":
-        """The plan named by ``REPRO_CHAOS``, or ``None`` when unset."""
-        env = os.environ if environ is None else environ
-        spec = env.get(CHAOS_ENV, "").strip()
-        if not spec:
-            return None
-        return cls.from_spec(spec)

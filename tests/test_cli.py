@@ -239,3 +239,39 @@ class TestServeCommand:
         assert "drained after 1 requests" in out
         # the drain cut a final checkpoint
         assert list((tmp_path / "state").glob("checkpoint-*"))
+
+
+class TestClientCommand:
+    def test_verify_with_a_second_writer_reports_no_false_mismatch(
+        self, monkeypatch, capsys
+    ):
+        """Another writer lands an update right before each of this
+        client's, leaving gaps in the client's history. Answers after
+        the first gap are unverifiable, not mismatches."""
+        import re
+
+        from repro.engine import PricingEngine
+        from repro.graph import generators as gen
+        from repro.service import PricingClient, PricingService, ServiceServer
+
+        g = gen.random_biconnected_graph(20, seed=5)
+        svc = PricingService(PricingEngine(g, on_monopoly="inf"), workers=2)
+        server = ServiceServer(svc, port=0).start()
+        own_update, others = PricingClient.update_cost, []
+
+        def other_writer_then_update(self, node, value, **kwargs):
+            others.append(svc.update_cost(1 + len(others) % 19, 40.0 + len(others)))
+            return own_update(self, node, value, **kwargs)
+
+        monkeypatch.setattr(PricingClient, "update_cost", other_writer_then_update)
+        try:
+            rc = main(["client", "--url", server.url, "--requests", "80",
+                       "--seed", "2", "--update-frac", "0.3", "--verify"])
+        finally:
+            server.stop()
+            svc.close()
+        out = capsys.readouterr().out
+        found = re.search(r"(\d+) mismatches, (\d+) unverifiable", out)
+        mismatches, unverifiable = map(int, found.groups())
+        assert (mismatches, rc) == (0, 1), out  # unverifiable still fails
+        assert unverifiable > 0 and others

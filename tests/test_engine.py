@@ -23,28 +23,11 @@ from repro.engine import (
     replay,
     save_trace,
 )
+from repro.engine.oracle import answer_key, verify
 from repro.errors import DisconnectedError
 from repro.graph import generators as gen
-from repro.graph.node_graph import NodeWeightedGraph
 
 from conftest import biconnected_graphs, robust_digraphs
-
-
-def fresh(g, s, t):
-    """The stateless oracle the engine must agree with, tagged."""
-    try:
-        p = vcg_unicast_payments(g, s, t, method="fast", on_monopoly="inf")
-        return ("ok", p.path, p.lcp_cost, dict(p.payments))
-    except DisconnectedError:
-        return ("disconnected",)
-
-
-def engine_answer(eng, s, t):
-    try:
-        p = eng.price(s, t)
-        return ("ok", p.path, p.lcp_cost, dict(p.payments))
-    except DisconnectedError:
-        return ("disconnected",)
 
 
 class TestInterleavingProperty:
@@ -57,43 +40,35 @@ class TestInterleavingProperty:
     def test_bit_identical_to_fresh_pricing(self, g, seed, n_steps):
         eng = PricingEngine(g, on_monopoly="inf")
         rng = np.random.default_rng(seed)
-        current = g
+        history, checks = [], []
         for _ in range(n_steps):
             r = rng.random()
+            n = eng.n
             if r < 0.25:
-                node = int(rng.integers(current.n))
+                node = int(rng.integers(n))
                 value = float(rng.uniform(0.5, 20.0))
                 eng.update_cost(node, value)
-                current = current.with_declaration(node, value)
+                history.append((eng.version, ("cost", node, value)))
             elif r < 0.30:
-                node = int(rng.integers(current.n))
-                eng.remove_node(node)
-                kept = [
-                    (u, v)
-                    for u, v in current.edge_iter()
-                    if u != node and v != node
-                ]
-                current = NodeWeightedGraph(current.n, kept, current.costs)
+                node = int(rng.integers(n))
+                history.append((eng.remove_node(node), ("remove", node)))
             elif r < 0.35:
-                nbrs = rng.choice(
-                    current.n, size=min(3, current.n), replace=False
-                )
-                new_id = eng.add_node(cost=2.5, neighbors=nbrs.tolist())
-                assert new_id == current.n
-                edges = list(current.edge_iter())
-                edges += [(current.n, int(v)) for v in nbrs]
-                current = NodeWeightedGraph(
-                    current.n + 1,
-                    edges,
-                    np.append(current.costs, 2.5),
-                )
+                nbrs = rng.choice(n, size=min(3, n), replace=False).tolist()
+                assert eng.add_node(cost=2.5, neighbors=nbrs) == n
+                history.append((eng.version, ("add", 2.5, nbrs)))
             else:
-                s = int(rng.integers(current.n))
-                t = int(rng.integers(current.n))
+                s = int(rng.integers(n))
+                t = int(rng.integers(n))
                 if s == t:
                     continue
-                assert engine_answer(eng, s, t) == fresh(current, s, t)
-        assert eng.n == current.n
+                try:
+                    outcome = eng.price(s, t)
+                except DisconnectedError as exc:
+                    outcome = exc
+                checks.append((eng.version, s, t, outcome))
+        verdict = verify(g, history, checks)
+        assert verdict.mismatches == 0, verdict.examples
+        assert verdict.checked == len(checks)
 
 
 class TestSptRepair:
@@ -138,11 +113,7 @@ class TestCaching:
         b = eng.price(5, 0)
         assert eng.stats.cache_hits == 1
         assert eng.stats.cache_misses == 1
-        assert (a.path, a.lcp_cost, dict(a.payments)) == (
-            b.path,
-            b.lcp_cost,
-            dict(b.payments),
-        )
+        assert answer_key(a) == answer_key(b)
 
     def test_version_starts_at_zero_and_bumps(self, random_graph):
         eng = PricingEngine(random_graph)
@@ -210,10 +181,9 @@ class TestPriceMany:
         pairs = [(i, 0) for i in range(1, random_graph.n)]
         eng = PricingEngine(random_graph, on_monopoly="inf")
         batch = eng.price_many(pairs)
-        for s, t in pairs:
-            want = fresh(random_graph, s, t)
-            got = batch[(s, t)]
-            assert ("ok", got.path, got.lcp_cost, dict(got.payments)) == want
+        checks = [(0, s, t, batch[(s, t)]) for s, t in pairs]
+        verdict = verify(random_graph, [], checks)
+        assert (verdict.checked, verdict.mismatches) == (len(pairs), 0)
 
     def test_repeat_batch_hits_cache(self, random_graph):
         pairs = [(i, 0) for i in range(1, 10)]
@@ -239,10 +209,7 @@ class TestPriceMany:
         par = PricingEngine(g, on_monopoly="inf").price_many(pairs, jobs=2)
         assert serial.keys() == par.keys()
         for key in pairs:
-            a, b = serial[key], par[key]
-            assert a.path == b.path
-            assert a.lcp_cost == b.lcp_cost
-            assert dict(a.payments) == dict(b.payments)
+            assert answer_key(serial[key]) == answer_key(par[key])
 
     def test_parallel_batches_reuse_pool_and_leak_nothing(self):
         """Two consecutive parallel batches: both are bit-identical to
@@ -265,9 +232,7 @@ class TestPriceMany:
                 )
                 ser = ref.price_many(pairs)
                 for key in pairs:
-                    assert par[key].path == ser[key].path
-                    assert par[key].lcp_cost == ser[key].lcp_cost
-                    assert dict(par[key].payments) == dict(ser[key].payments)
+                    assert answer_key(par[key]) == answer_key(ser[key])
         finally:
             if not was_enabled:
                 REGISTRY.disable()

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.engine import PricingEngine, generate_workload, replay
 from repro.engine import persist
+from repro.engine.oracle import answer_key
 from repro.graph import generators as gen
 from repro.io import SerializationError
 
@@ -43,11 +44,7 @@ def durable_engine(tmp_path, g=None, **kw):
 
 
 def answers(eng, pairs):
-    out = []
-    for s, t in pairs:
-        p = eng.price(s, t)
-        out.append((p.path, p.lcp_cost, tuple(sorted(p.payments.items()))))
-    return out
+    return [answer_key(eng.price(s, t)) for s, t in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import urllib.request
 import pytest
 
 from repro import io as repro_io
-from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.engine import PricingEngine, RWLock
+from repro.engine.oracle import answer_key, verify
 from repro.errors import (
     DeadlineExceededError,
     EngineClosedError,
@@ -40,11 +40,6 @@ def wait_until(predicate, timeout=5.0, interval=0.005):
             return
         time.sleep(interval)
     pytest.fail("condition not reached within timeout")
-
-
-def answer_key(payment):
-    """Hashable bit-exact identity of a payment result."""
-    return (payment.path, payment.lcp_cost, tuple(sorted(payment.payments.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +143,7 @@ class TestSnapshotIsolation:
         eng.update_cost(3, 9.99)
         p1, v1 = eng.price_versioned(7, 0)
         assert v1 == 1
-        want = vcg_unicast_payments(
-            g.with_declaration(3, 9.99), 7, 0, method="fast", on_monopoly="inf"
-        )
-        assert answer_key(p1) == answer_key(want)
+        assert verify(g, [(1, ("cost", 3, 9.99))], [(1, 7, 0, p1)]).mismatches == 0
 
     def test_graph_snapshot_is_atomic(self):
         g = gen.random_biconnected_graph(16, seed=6)
@@ -203,10 +195,8 @@ def service():
 class TestServiceBasics:
     def test_price_matches_direct_engine_answer(self, service):
         answer = service.price(7, 0)
-        want = vcg_unicast_payments(
-            service.engine.graph, 7, 0, method="fast", on_monopoly="inf"
-        )
-        assert answer_key(answer.payment) == answer_key(want)
+        checks = [(0, 7, 0, answer.payment)]
+        assert verify(service.engine.graph, [], checks).mismatches == 0
         assert answer.graph_version == 0
         assert service.stats.requests == 1
 
@@ -399,8 +389,8 @@ class TestStressOracle:
         eng = PricingEngine(g, on_monopoly="inf")
         svc = PricingService(eng, workers=4, max_queue=256, deadline_s=60.0)
 
-        records = []  # (source, target, version, answer_key)
-        updates = []  # (version, node, value)
+        records = []  # (version, source, target, payment)
+        updates = []  # (version, ("cost", node, value))
         failures = []
         rec_mu = threading.Lock()
 
@@ -414,9 +404,7 @@ class TestStressOracle:
                         s = (t + 1) % g.n or 1
                     a = svc.price(s, t)
                     with rec_mu:
-                        records.append(
-                            (s, t, a.graph_version, answer_key(a.payment))
-                        )
+                        records.append((a.graph_version, s, t, a.payment))
             except BaseException as exc:
                 failures.append(exc)
 
@@ -428,7 +416,7 @@ class TestStressOracle:
                     value = float(rng.uniform(0.5, 20.0))
                     version = svc.update_cost(node, value)
                     with rec_mu:
-                        updates.append((version, node, value))
+                        updates.append((version, ("cost", node, value)))
                     time.sleep(0.002)
             except BaseException as exc:
                 failures.append(exc)
@@ -449,30 +437,14 @@ class TestStressOracle:
         svc.close()
 
         # Writer-lock serialization => versions are a permutation of 1..V.
-        versions = sorted(v for v, _, _ in updates)
+        versions = sorted(v for v, _ in updates)
         assert versions == list(range(1, len(updates) + 1))
 
-        # Serial replay: reconstruct the graph at every version, then
-        # demand every concurrent answer equals the from-scratch oracle
-        # on the snapshot its version names. Bit-identical, not approx.
-        graph_at = {0: g}
-        current = g
-        for version, node, value in sorted(updates):
-            current = current.with_declaration(node, value)
-            graph_at[version] = current
-
-        oracle_cache = {}
-        mismatches = 0
-        for s, t, version, got in records:
-            key = (version, s, t)
-            if key not in oracle_cache:
-                want = vcg_unicast_payments(
-                    graph_at[version], s, t, method="fast", on_monopoly="inf"
-                )
-                oracle_cache[key] = answer_key(want)
-            if got != oracle_cache[key]:
-                mismatches += 1
-        assert mismatches == 0
+        # Serial oracle: every concurrent answer equals the from-scratch
+        # price on the snapshot its version names. Bit-identical.
+        verdict = verify(g, updates, records)
+        assert verdict.mismatches == 0, verdict.examples
+        assert verdict.checked == len(records)
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +551,8 @@ class TestHTTP:
         resp = repro_io.from_wire(doc)
         assert isinstance(resp, repro_io.PriceResponse)
         assert doc["schema_version"] == 1
-        want = vcg_unicast_payments(
-            http_server.service.engine.graph, 7, 0,
-            method="fast", on_monopoly="inf",
-        )
-        assert answer_key(resp.payment) == answer_key(want)
+        checks = [(0, 7, 0, resp.payment)]
+        assert verify(http_server.service.engine.graph, [], checks).mismatches == 0
         assert resp.graph_version == 0
         assert resp.request_id and headers["X-Request-Id"] == resp.request_id
 

@@ -16,13 +16,17 @@ Mid-run the child is ``kill -9``-ed once; the supervisor restarts it
 with ``--recover`` (checkpoint + WAL replay) while the clients keep
 retrying through the outage.
 
-The gate: afterwards, a **serial oracle replay** of the recorded
-update history recomputes every priced answer at its pinned
-``graph_version`` — every payment must match bit-identically
-(``path``, ``lcp_cost``, and each per-node payment).
+The gate: afterwards, the serial oracle (:mod:`repro.engine.oracle`)
+replays the recorded update history and recomputes every priced answer
+at its pinned ``graph_version`` — every payment must match
+bit-identically (``path``, ``lcp_cost``, and each per-node payment),
+and the first mismatches are printed. The plan must also have fired:
+the clients' transport failures plus server 5xx must be positive, or
+the gate is vacuous.
 
-Exit codes: 0 green; 1 mismatches/unverifiable answers; 2 operational
-failure (server never ready, client gave up, restart budget spent).
+Exit codes: 0 green; 1 mismatches, unverifiable answers or no fault
+fired; 2 operational failure (server never ready, client gave up,
+restart budget spent).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from tempfile import TemporaryDirectory
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.vcg_unicast import vcg_unicast_payments  # noqa: E402
+from repro.engine.oracle import verify  # noqa: E402
 from repro.errors import ReproError, error_code  # noqa: E402
 from repro.service import BackoffPolicy, PricingClient  # noqa: E402
 from repro.service.supervisor import Supervisor, serve_argv  # noqa: E402
@@ -64,10 +68,6 @@ def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
-
-
-def _answer_key(payment):
-    return (payment.path, payment.lcp_cost, tuple(sorted(payment.payments.items())))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -123,19 +123,20 @@ def main(argv: list[str] | None = None) -> int:
             head_client.close()
 
             mu = threading.Lock()
-            updates: list[tuple[int, int, float]] = []
+            updates: list[tuple[int, tuple]] = []
             records: list[tuple[int, int, int, object]] = []
             failures: list[str] = []
+            faults: list[int] = []  # transport failures + server 5xx
             stop_at = time.monotonic() + args.duration
 
             def worker(idx: int) -> None:
                 # Worker 0 is the *only* writer. With one writer, an
                 # update whose ack is lost to the kill re-applies as a
                 # version-preserving no-op at the same version, so the
-                # recorded (version, node, value) history stays a
-                # faithful serial order for the oracle replay. (A
-                # second writer could bump the version in between,
-                # making the retried ack ambiguous.)
+                # recorded (version, update) history stays a faithful
+                # serial order for the oracle replay. (A second writer
+                # could bump the version in between, making the
+                # retried ack ambiguous.)
                 rng = Random(1000 + idx)
                 client = PricingClient(
                     url,
@@ -152,15 +153,16 @@ def main(argv: list[str] | None = None) -> int:
                                 value = round(rng.uniform(0.5, 20.0), 3)
                                 resp = client.update_cost(node, value)
                                 with mu:
-                                    updates.append(
-                                        (resp.graph_version, node, value)
-                                    )
+                                    updates.append((
+                                        resp.graph_version,
+                                        ("cost", node, value),
+                                    ))
                             else:
                                 s = rng.randrange(1, args.nodes)
                                 resp = client.price(s, 0)
                                 with mu:
                                     records.append(
-                                        (s, 0, resp.graph_version, resp.payment)
+                                        (resp.graph_version, s, 0, resp.payment)
                                     )
                         except ReproError as exc:
                             with mu:
@@ -169,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
                                 )
                             return
                 finally:
+                    stats = client.stats
+                    faults.append(stats.transport_failures + stats.server_errors)
                     client.close()
 
             threads = [
@@ -203,35 +207,21 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
 
-        # Serial oracle replay at every pinned graph_version. Updates
-        # are deduped: a retried mutation acked at the same version is
-        # one logical write (idempotency keys + the engine's
-        # unchanged-value no-op guarantee exactly this).
-        graph_at = {v0: g0}
-        current = g0
-        for version, node, value in sorted(set(updates)):
-            current = current.with_declaration(node, value)
-            graph_at[version] = current
-        oracle: dict[tuple[int, int, int], tuple] = {}
-        mismatches = unverifiable = 0
-        for s, t, version, payment in records:
-            if version not in graph_at:
-                unverifiable += 1
-                continue
-            key = (version, s, t)
-            if key not in oracle:
-                oracle[key] = _answer_key(vcg_unicast_payments(
-                    graph_at[version], s, t, method="fast", on_monopoly="inf"
-                ))
-            if _answer_key(payment) != oracle[key]:
-                mismatches += 1
+        verdict = verify(g0, updates, records, base_version=v0)
         print(
             f"chaos_smoke: {len(records)} answers, "
             f"{len(set(updates))} updates, {restarts} restart(s), "
-            f"{len(oracle)} oracle keys, {mismatches} mismatches, "
-            f"{unverifiable} unverifiable"
+            f"{sum(faults)} faults fired, {verdict.checked} checked, "
+            f"{verdict.mismatches} mismatches, "
+            f"{verdict.unverifiable} unverifiable"
         )
-        if mismatches or unverifiable:
+        for example in verdict.examples:
+            print(f"chaos_smoke: mismatch: {example}")
+        if verdict.mismatches or verdict.unverifiable:
+            return 1
+        if sum(faults) == 0:
+            print("chaos_smoke: no fault fired; the gate is vacuous",
+                  file=sys.stderr)
             return 1
         print("chaos_smoke: PASS — bit-identical under chaos")
         return 0
