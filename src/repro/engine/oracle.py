@@ -108,7 +108,20 @@ def _describe(key: tuple) -> str:
 def _is_noop(g: NodeWeightedGraph, update: tuple) -> bool:
     """A cost re-declaration of the value ``g`` holds: the engine keeps
     the version, so the record names the version it found."""
-    return update[0] == "cost" and float(g.costs[update[1]]) == float(update[2])
+    return (
+        update[0] == "cost"
+        and int(update[1]) < g.n
+        and float(g.costs[update[1]]) == float(update[2])
+    )
+
+
+def _can_change(g: NodeWeightedGraph, update: tuple) -> bool:
+    """Whether ``update`` could produce the version after ``g``'s: a
+    cost record must give a node ``g`` already has a new value."""
+    if update[0] != "cost":
+        return True
+    node = int(update[1])
+    return node < g.n and float(g.costs[node]) != float(update[2])
 
 
 def verify(base: NodeWeightedGraph, history, checks, base_version: int = 0) -> Verdict:
@@ -117,11 +130,13 @@ def verify(base: NodeWeightedGraph, history, checks, base_version: int = 0) -> V
 
     ``base`` is the graph at ``base_version``; ``history`` holds the
     ``(version, update)`` records that follow it. A retried record
-    counts once, and a no-op cost re-declaration is not a change. Two
-    changes at one version, or a change at or before ``base_version``,
-    count as mismatches. Answers at versions after the first one no
-    record produces count as ``unverifiable``. Each distinct
-    ``(version, source, target)`` is priced once.
+    counts once. A no-op cost re-declaration is not a change; it is
+    checked against the graph at its own version, so it may name a node
+    added by that version's change. Two changes at one version, or a
+    change at or before ``base_version``, count as mismatches. Answers
+    at versions after the first one no record produces count as
+    ``unverifiable``. Each distinct ``(version, source, target)`` is
+    priced once.
     """
     verdict = Verdict()
     updates: dict[int, list] = defaultdict(list)
@@ -150,12 +165,15 @@ def verify(base: NodeWeightedGraph, history, checks, base_version: int = 0) -> V
                     f"v{v} {s}->{t}: observed {_describe(got)}; "
                     f"oracle {_describe(want)}"
                 )
-        changes = [u for u in updates.get(v + 1, ()) if not _is_noop(g, u)]
-        if len(changes) > 1:
-            verdict._miss(f"v{v + 1}: two different updates {changes[:2]!r}")
-        if len(changes) != 1:
+        records = updates.get(v + 1, ())
+        change = next((u for u in records if _can_change(g, u)), None)
+        if change is None:
             break
-        v += 1
-        g = apply_update(g, changes[0])
+        g_next = apply_update(g, change)
+        others = [u for u in records if u != change and not _is_noop(g_next, u)]
+        if others:
+            verdict._miss(f"v{v + 1}: two different updates {[change, others[0]]!r}")
+            break
+        v, g = v + 1, g_next
     verdict.unverifiable = sum(len(rest) for rest in by_version.values())
     return verdict

@@ -2,7 +2,7 @@
 
 Metrics tell you *how much*; the flight recorder tells you *what just
 happened*. It keeps the last ``capacity`` engine events — queries,
-updates, cache hits/misses, fast-forwards, repairs, rebuilds, plus the
+updates, cache hits/misses, fast-forwards, rebuilds, plus the
 durability layer's ``checkpoint`` and ``recover`` events — as plain
 tuples in a preallocated ring, so recording is allocation-light enough
 to stay on even in production serving paths (one small tuple per event,
@@ -45,7 +45,7 @@ class FlightRecorder:
     ``t`` is seconds since the recorder's epoch (:func:`time.monotonic`
     based, so deltas between events are meaningful), ``kind`` one of the
     engine's event names (``query``/``update``/``hit``/``miss``/
-    ``fast_forward``/``repair``/``rebuild``/...), ``version`` the engine
+    ``fast_forward``/``rebuild``/...), ``version`` the engine
     graph version the event saw, and ``value`` a kind-specific number
     (elapsed seconds for ``query``, fast-forward step count, ...).
     """

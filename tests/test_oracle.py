@@ -128,3 +128,22 @@ def test_each_distinct_key_priced_once(g, monkeypatch):
     verdict = verify(g, [], [(0, s, 0, eng.price(s, 0)) for s in (1, 2, 1, 1, 2)])
     assert (verdict.checked, verdict.mismatches) == (5, 0)
     assert sorted(calls) == [(1, 0), (2, 0)]
+
+
+def test_noop_record_for_a_node_added_at_the_same_version(g):
+    eng = PricingEngine(g, on_monopoly="inf")
+    n = eng.add_node(cost=2.0, neighbors=[0, 1])
+    v = eng.version
+    assert eng.update_cost(n, 2.0) == v  # a no-op on the new node
+    checks = [(v, n, 0, eng.price(n, 0))]
+    for history in (
+        [(v, ("add", 2.0, [0, 1])), (v, ("cost", n, 2.0))],
+        [(v, ("cost", n, 2.0)), (v, ("add", 2.0, [0, 1]))],
+    ):
+        verdict = verify(g, history, checks)
+        assert (verdict.checked, verdict.mismatches) == (1, 0)
+    # A different cost for the new node at that version is a second change.
+    conflict = [(v, ("add", 2.0, [0, 1])), (v, ("cost", n, 3.0))]
+    verdict = verify(g, conflict, checks)
+    assert (verdict.mismatches, verdict.unverifiable) == (1, 1)
+    assert "two different updates" in verdict.examples[0]
