@@ -281,6 +281,58 @@ def test_engine_wal_overhead(benchmark, tmp_path, scale):
     assert overhead < 0.15
 
 
+def test_checkpoint_and_restart(benchmark, tmp_path):
+    """A warm engine's checkpoint and restart cost the graph, not the
+    caches.
+
+    After ``price_many`` of every source to AP 0 the SPT and pair
+    caches are full. ``checkpoint()`` (which holds the write lock) and
+    ``open(resume=True)`` must each stay under 0.5 s, because a
+    checkpoint holds only the declared graph. The recovered engine must
+    price the same batch bit-identically; its first batch rebuilds the
+    caches and is recorded as ``t_first_batch_ms``.
+    """
+    from repro.engine.oracle import answer_key
+
+    g = _udg_instance()
+    pairs = [(s, 0) for s in range(1, g.n)]
+    root = tmp_path / "state"
+    eng = PricingEngine(g, on_monopoly="inf", checkpoint_dir=root)
+    want = eng.price_many(pairs)
+    assert eng.cache_sizes()["pairs"] == len(pairs)
+
+    t0 = time.perf_counter()
+    path = eng.checkpoint()
+    t_checkpoint = time.perf_counter() - t0
+    ckpt_mb = path.stat().st_size / 1e6
+    eng.close()
+
+    t0 = time.perf_counter()
+    twin = PricingEngine.open(root, resume=True)
+    t_open = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    got = twin.price_many(pairs)
+    t_first = time.perf_counter() - t0
+    assert twin.version == eng.version and twin.last_recovery.clean
+    for key in pairs:
+        assert answer_key(got[key]) == answer_key(want[key])
+
+    emit(
+        f"warm engine, {len(pairs)} sources priced to AP 0: checkpoint "
+        f"{t_checkpoint * 1e3:.1f} ms ({ckpt_mb:.2f} MB), "
+        f"open(resume=True) {t_open * 1e3:.1f} ms, first batch after "
+        f"restart {t_first * 1e3:.1f} ms"
+    )
+    benchmark.extra_info["t_checkpoint_ms"] = round(t_checkpoint * 1e3, 1)
+    benchmark.extra_info["t_open_ms"] = round(t_open * 1e3, 1)
+    benchmark.extra_info["t_first_batch_ms"] = round(t_first * 1e3, 1)
+    benchmark.extra_info["checkpoint_mb"] = round(ckpt_mb, 3)
+    benchmark.pedantic(twin.checkpoint, rounds=3, iterations=1)
+    twin.close()
+    assert t_checkpoint < 0.5
+    assert t_open < 0.5
+
+
 def test_price_many_shares_work(benchmark):
     """Batch pricing toward the access point: bit-identical to
     pair-at-a-time, and a warm repeat batch answers from cache."""

@@ -115,7 +115,8 @@ Durability
 With ``checkpoint_dir=`` set, every applied mutation is appended to a
 checksummed write-ahead log and :meth:`PricingEngine.checkpoint`
 (manual, or automatic every ``checkpoint_every`` mutations) persists
-the full state — graph, version, warm caches — atomically.
+the declared graph, its version and the engine configuration — not the
+caches, which are derived data — atomically.
 :meth:`PricingEngine.open` recovers a crashed engine bit-identically
 by loading the newest valid checkpoint and replaying the WAL tail
 through the very same mutation methods. The formats, fsync policies
@@ -266,7 +267,7 @@ class PricingEngine:
     checkpoint_dir:
         When set, the engine is *durable*: every applied mutation is
         appended to a checksummed write-ahead log in this directory
-        and :meth:`checkpoint` persists full state atomically (see
+        and :meth:`checkpoint` persists the graph atomically (see
         :mod:`repro.engine.persist`). The directory must not already
         hold engine state — recover that with :meth:`open` instead.
     fsync, fsync_every:
@@ -951,35 +952,25 @@ class PricingEngine:
         ):
             self.checkpoint()
 
-    def _checkpoint_state(
-        self, include_caches: bool = True
-    ) -> _persist_mod.CheckpointState:
-        """Snapshot everything a checkpoint preserves (current-version
-        cache entries only — stale pairs would be rebuilt anyway)."""
-        spts = dict(self._spts) if include_caches else {}
-        pairs: dict[tuple[int, int], object] = {}
-        if include_caches:
-            for key, (stamp, res) in self._pairs.items():
-                if stamp == self._version:
-                    pairs[key] = res
+    def _checkpoint_state(self) -> _persist_mod.CheckpointState:
+        """Snapshot everything a checkpoint preserves: the declared
+        graph, its version and the engine configuration."""
         return _persist_mod.CheckpointState(
             graph=self._graph,
             graph_version=self._version,
             model=self._model,
             backend=self._backend,
             on_monopoly=self._on_monopoly,
-            spts=spts,
-            pairs=pairs,
         )
 
-    def checkpoint(self, include_caches: bool = True) -> Path:
-        """Persist full engine state now; returns the checkpoint path.
+    def checkpoint(self) -> Path:
+        """Persist the declared graph now; returns the checkpoint path.
 
         Writes atomically (temp file + rename), rotates the WAL so the
         new checkpoint starts an empty tail, and prunes generations
-        past ``retain``. ``include_caches=False`` writes a graph-only
-        checkpoint (smaller file, colder restart). Requires the engine
-        to have been built with ``checkpoint_dir=``. Thread-safe: takes
+        past ``retain``. The caches are not written (a recovered engine
+        rebuilds them at first use). Requires the engine to have been
+        built with ``checkpoint_dir=``. Thread-safe: takes
         the write lock (reentrantly when an automatic checkpoint fires
         inside a mutation), so the persisted state is a quiescent
         snapshot.
@@ -991,9 +982,7 @@ class PricingEngine:
             )
         with self._rw.write_locked():
             self._check_open()
-            path = self._persist.write_checkpoint(
-                self._checkpoint_state(include_caches)
-            )
+            path = self._persist.write_checkpoint(self._checkpoint_state())
             self.stats.checkpoint_writes += 1
             self._count("checkpoint_writes")
             _flight.record(
@@ -1043,9 +1032,6 @@ class PricingEngine:
         )
         eng._version = state.graph_version
         eng._log_floor = state.graph_version
-        eng._spts.update(state.spts)
-        for key, res in state.pairs.items():
-            eng._pairs[key] = (state.graph_version, res)
         applied = 0
         for rec in records:
             recorded = int(rec.get("version", -1))

@@ -1,36 +1,26 @@
 """Durability for the pricing engine: write-ahead log + checkpoints.
 
-Why the engine needs a disk
----------------------------
-
-:class:`~repro.engine.engine.PricingEngine` is the long-lived shape of
-the paper's mechanism: declared costs drift, nodes churn, and the
-versioned snapshot plus its SPT/pair caches accumulate exactly the
-state that makes steady-state serving cheap. All of it lives in one
-process — a crash (OOM kill, node reboot, deploy) loses the graph the
-selfish nodes spent a session declaring, and the replacement process
-must cold-rebuild from whatever external record exists. The flight
-recorder (:mod:`repro.obs.flight`) can show *what* was lost; this
-module makes sure nothing is.
-
-The model is the classic checkpoint + write-ahead-log pair every
-durable serving stack converges on:
+A :class:`~repro.engine.engine.PricingEngine` lives in one process; a
+crash (OOM kill, node reboot, deploy) would lose the graph the selfish
+nodes spent a session declaring. This module keeps it on disk as the
+classic checkpoint + write-ahead-log pair:
 
 * **Write-ahead log (WAL).** Every applied mutation —
   ``update_cost`` / ``add_node`` / ``remove_node`` — is appended to
-  ``wal-<seq>.jsonl`` as one JSON-lines record *after* it commits
-  in memory. Records reuse the PR-4 trace-record vocabulary
-  (``{"kind": "update", "node": ..., "value": ...}``), extended with
-  the resulting engine ``version`` and a CRC-32 checksum over the
-  record's canonical JSON. Queries are never logged — they do not
-  change state.
-* **Checkpoints.** ``checkpoint()`` writes the full engine state —
-  graph snapshot (via :func:`repro.io.to_dict`), ``graph_version``,
-  and optionally every cache entry stamped at the current version —
-  to ``checkpoint-<seq>.json`` under an atomic
-  write-to-temp-then-:func:`os.replace` protocol, then rotates the WAL
-  so the new checkpoint starts an empty tail. The engine can do this
-  on demand and automatically every ``checkpoint_every`` mutations.
+  ``wal-<seq>.jsonl`` as one JSON-lines record *after* it commits in
+  memory (``{"kind": "update", "node": ..., "value": ...}``), with the
+  resulting engine ``version`` and a CRC-32 over the record's
+  canonical JSON. Queries change no state and are never logged.
+* **Checkpoints.** ``checkpoint()`` writes the declared graph (via
+  :func:`repro.io.to_dict`), ``graph_version``, model, backend and
+  ``on_monopoly`` to ``checkpoint-<seq>.json`` (write to a temp file,
+  fsync, :func:`os.replace`), then rotates the WAL so the new
+  checkpoint starts an empty tail; on demand and every
+  ``checkpoint_every`` mutations. The SPT and pair caches are not
+  written: a payment ``p_k = ||P_{-v_k}|| - ||P|| + c_k`` depends on
+  the declared costs and topology alone, so a recovered engine
+  rebuilds them at first use. Checkpoints from older builds also carry
+  ``spts``/``pairs`` keys, which the decoder ignores.
 
 Recovery (:func:`load_state`, surfaced as
 ``PricingEngine.open(checkpoint_dir)``) loads the newest checkpoint
@@ -50,24 +40,17 @@ is tolerant by construction:
 * a **torn trailing WAL record** (partial line, bad JSON, CRC
   mismatch) ends replay at the last valid record — the durable prefix
   — and is reported, not fatal;
-* a **corrupt checkpoint** (bad CRC, malformed payload) is skipped and
-  recovery falls back to the next older checkpoint, replaying the
+* a **corrupt checkpoint** (bad CRC, malformed payload, or an envelope
+  ``version`` that :func:`repro.io.check_version` refuses — the CRC
+  covers only the payload) is skipped and recovery falls back to the next older checkpoint, replaying the
   longer WAL chain from there (``retain`` controls how many
   generations are kept);
 * a record whose recorded ``version`` does not match the replayed
   engine's version marks the chain divergent: replay stops at the
   consistent prefix and the report says so.
 
-The fsync policy bounds what a crash can lose: ``"always"`` fsyncs
-every record (a kill -9 loses nothing that was applied), ``"interval"``
-fsyncs every ``fsync_every`` records (default; bounded loss, negligible
-overhead), ``"never"`` leaves flushing to the OS. Checkpoint files are
-always fsynced before the atomic rename.
-
-On-disk schema versioning rides on :mod:`repro.io`: envelopes carry
-``{"format": ..., "version": ...}`` tags and loading runs them through
-:func:`repro.io.apply_migrations`, so a future layout change ships a
-registered migration instead of breaking old directories.
+The fsync policy (:data:`FSYNC_POLICIES`) bounds what a crash can lose
+from the WAL; checkpoint files are always fsynced before the rename.
 
 Quickstart::
 
@@ -93,17 +76,14 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any
-
-import numpy as np
+from typing import IO
 
 from repro import io as repro_io
 from repro.errors import PersistError, RecoveryError
 from repro.graph.link_graph import LinkWeightedDigraph
 from repro.graph.node_graph import NodeWeightedGraph
-from repro.graph.spt import ShortestPathTree
 from repro.io import SerializationError, _dec_float, _enc_float
 from repro.obs import logging as obs_logging
 
@@ -282,13 +262,13 @@ def read_wal(path: str | Path) -> WalScan:
     return WalScan(records=records)
 
 
-def _wal_header(seq: int, meta: dict) -> dict:
+def _wal_header(seq: int, graph_version: int) -> dict:
     return {
         "kind": "wal-header",
         "format": WAL_FORMAT,
         "version": WAL_SCHEMA_VERSION,
         "checkpoint_seq": int(seq),
-        **meta,
+        "graph_version": int(graph_version),
     }
 
 
@@ -299,16 +279,14 @@ def _wal_header(seq: int, meta: dict) -> dict:
 
 @dataclass
 class CheckpointState:
-    """Everything a checkpoint preserves of a live engine."""
+    """Everything a checkpoint preserves of a live engine: the declared
+    graph at ``graph_version`` and the engine's configuration."""
 
     graph: NodeWeightedGraph | LinkWeightedDigraph
     graph_version: int
     model: str
     backend: str
     on_monopoly: str
-    #: Warm cache entries stamped at ``graph_version`` (optional).
-    spts: dict[int, ShortestPathTree] = field(default_factory=dict)
-    pairs: dict[tuple[int, int], Any] = field(default_factory=dict)
 
 
 def _encode_state(state: CheckpointState) -> dict:
@@ -318,45 +296,16 @@ def _encode_state(state: CheckpointState) -> dict:
         "model": state.model,
         "backend": state.backend,
         "on_monopoly": state.on_monopoly,
-        "spts": {
-            str(root): {
-                "root": int(spt.root),
-                "dist": [_enc_float(x) for x in spt.dist],
-                "parent": [int(x) for x in spt.parent],
-            }
-            for root, spt in state.spts.items()
-        },
-        "pairs": [
-            {
-                "source": int(s),
-                "target": int(t),
-                "result": repro_io.to_dict(res),
-            }
-            for (s, t), res in state.pairs.items()
-        ],
     }
 
 
 def _decode_state(data: dict) -> CheckpointState:
-    spts = {}
-    for root_s, tree in data.get("spts", {}).items():
-        dist = np.asarray(
-            [_dec_float(x) for x in tree["dist"]], dtype=np.float64
-        )
-        parent = np.asarray(tree["parent"], dtype=np.int64)
-        spts[int(root_s)] = ShortestPathTree(int(tree["root"]), dist, parent)
-    pairs = {}
-    for entry in data.get("pairs", []):
-        key = (int(entry["source"]), int(entry["target"]))
-        pairs[key] = repro_io.from_dict(entry["result"])
     return CheckpointState(
         graph=repro_io.from_dict(data["graph"]),
         graph_version=int(data["graph_version"]),
         model=str(data["model"]),
         backend=str(data["backend"]),
         on_monopoly=str(data["on_monopoly"]),
-        spts=spts,
-        pairs=pairs,
     )
 
 
@@ -391,10 +340,10 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
     """Load and validate one checkpoint file.
 
     Raises :class:`~repro.io.SerializationError` on bad JSON, an
-    unknown format tag, a CRC mismatch, or a malformed payload — the
-    conditions :func:`load_state` treats as "fall back to an older
-    checkpoint". Envelope versions older than the current schema run
-    through :func:`repro.io.apply_migrations` first.
+    unknown format tag, any envelope version other than
+    :data:`CHECKPOINT_SCHEMA_VERSION`, a CRC mismatch, or a malformed
+    payload — the conditions :func:`load_state` treats as "fall back to
+    an older checkpoint".
     """
     path = Path(path)
     try:
@@ -403,15 +352,12 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
         raise SerializationError(f"unreadable checkpoint {path}: {exc}")
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise SerializationError(f"{path} is not an engine checkpoint")
+    repro_io.check_version(
+        CHECKPOINT_FORMAT, doc.get("version"), CHECKPOINT_SCHEMA_VERSION
+    )
     data = doc.get("data")
     if doc.get("crc") != _crc_of(data):
         raise SerializationError(f"checkpoint {path} failed its checksum")
-    data = repro_io.apply_migrations(
-        CHECKPOINT_FORMAT,
-        int(doc.get("version", 0)),
-        CHECKPOINT_SCHEMA_VERSION,
-        data,
-    )
     try:
         return _decode_state(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -484,7 +430,6 @@ class EnginePersistence:
         self._writer: WalWriter | None = None
         self._seq = 0
         self.records_since_checkpoint = 0
-        self.total_records = 0
 
     # -- introspection ------------------------------------------------------
 
@@ -504,10 +449,6 @@ class EnginePersistence:
 
     # -- writer side --------------------------------------------------------
 
-    def start(self, state: CheckpointState, meta: dict | None = None) -> Path:
-        """Write the first checkpoint of a generation and open its WAL."""
-        return self.write_checkpoint(state, meta=meta)
-
     def append(self, record: dict) -> None:
         """Append one mutation record to the open WAL."""
         if self._writer is None:
@@ -516,11 +457,8 @@ class EnginePersistence:
             )
         self._writer.append(record)
         self.records_since_checkpoint += 1
-        self.total_records += 1
 
-    def write_checkpoint(
-        self, state: CheckpointState, meta: dict | None = None
-    ) -> Path:
+    def write_checkpoint(self, state: CheckpointState) -> Path:
         """Write a checkpoint, rotate the WAL, prune old generations."""
         existing = list_checkpoints(self.root)
         seq = (_seq_of(existing[-1]) + 1) if existing else 1
@@ -532,12 +470,7 @@ class EnginePersistence:
             fsync=self.policy,
             fsync_every=self.fsync_every,
         )
-        writer.append(
-            _wal_header(
-                seq,
-                {"graph_version": int(state.graph_version), **(meta or {})},
-            )
-        )
+        writer.append(_wal_header(seq, state.graph_version))
         self._writer = writer
         self._seq = seq
         self.records_since_checkpoint = 0
@@ -559,11 +492,6 @@ class EnginePersistence:
         for p in list_wals(self.root):
             if _seq_of(p) < floor:
                 p.unlink(missing_ok=True)
-
-    def sync(self) -> None:
-        """fsync the open WAL regardless of policy."""
-        if self._writer is not None:
-            self._writer.sync()
 
     def close(self) -> None:
         """Flush and close the open WAL (idempotent)."""

@@ -15,13 +15,11 @@ for the library's core objects:
 loader round-trips everything. Infinities are encoded as the string
 ``"inf"`` (JSON has no inf literal); all arrays become lists.
 
-Every payload carries ``{"format": tag, "version": N}``. When an
-on-disk layout changes, bump the writer's version and register a
-migration (:func:`register_migration`) that upgrades one version step
-of one tag; loaders (:func:`from_dict`, and the engine's durable store
-in :mod:`repro.engine.persist`) chain registered steps through
-:func:`apply_migrations`, so old files keep loading instead of
-erroring. An unregistered gap still fails loudly.
+Every payload carries ``{"format": tag, "version": N}``. Loaders
+(:func:`from_dict`, and the engine's durable store in
+:mod:`repro.engine.persist`) accept only the exact ``int`` version this
+build writes and raise :class:`SerializationError` on anything else
+(:func:`check_version`); there is no migration chain.
 
 Wire envelopes
 --------------
@@ -36,9 +34,9 @@ shapes are small frozen dataclasses defined here —
 :func:`to_wire` / :func:`from_wire` pair round-trips every message.
 On the wire the version key is spelled ``schema_version``
 (``{"format": tag, "schema_version": N, "data": {...}}``); decoding
-normalizes it and runs the exact same :func:`apply_migrations` chain,
-so evolving an endpoint's schema means bumping the version and
-registering a migration — identical to evolving an on-disk format.
+normalizes it and runs the same :func:`check_version`, so a request
+whose ``schema_version`` is not exactly ``1`` is refused with
+:class:`SerializationError` (HTTP 400) rather than priced.
 """
 
 from __future__ import annotations
@@ -71,8 +69,7 @@ __all__ = [
     "decode_as",
     "save_json",
     "load_json",
-    "register_migration",
-    "apply_migrations",
+    "check_version",
     "SerializationError",
     "to_wire",
     "from_wire",
@@ -95,47 +92,16 @@ FORMAT_VERSION = 1
 # re-exported here because this module is its historical home.
 
 
-# (tag, from_version) -> data-dict transformer producing from_version + 1.
-_MIGRATIONS: dict[tuple[str, int], Any] = {}
-
-
-def register_migration(tag: str, from_version: int, migrate) -> None:
-    """Register a one-step schema upgrade for ``tag`` payloads.
-
-    ``migrate(data)`` receives the ``data`` dict of a version
-    ``from_version`` payload and must return the ``from_version + 1``
-    shape. Steps chain: loading a version 1 payload at schema 3 runs
-    the (tag, 1) step then the (tag, 2) step. Registering the same step
-    twice replaces the previous hook (tests rely on this).
-    """
-    _MIGRATIONS[(tag, int(from_version))] = migrate
-
-
-def apply_migrations(
-    tag: str, version: int, target_version: int, data: dict
-) -> dict:
-    """Upgrade ``data`` from ``version`` to ``target_version`` via the
-    registered per-step migrations.
-
-    Raises :class:`SerializationError` when a step is missing or the
-    payload is *newer* than this build understands (downgrades are
-    never attempted).
-    """
-    if version > target_version:
+def check_version(
+    tag: str, version: Any, expected: int = FORMAT_VERSION
+) -> None:
+    """Raise :class:`SerializationError` unless ``version`` is the exact
+    ``int`` ``expected`` (so ``"1"``, ``1.0`` and ``True`` are refused)."""
+    if type(version) is not int or version != expected:
         raise SerializationError(
-            f"{tag} payload has version {version}, newer than the "
-            f"supported {target_version} — upgrade the library"
+            f"{tag} payload has version {version!r}; this build reads "
+            f"only version {expected}"
         )
-    while version < target_version:
-        step = _MIGRATIONS.get((tag, version))
-        if step is None:
-            raise SerializationError(
-                f"no migration registered for {tag} version "
-                f"{version} -> {version + 1}"
-            )
-        data = step(data)
-        version += 1
-    return data
 
 
 def _enc_float(x: float) -> float | str:
@@ -595,8 +561,8 @@ def _update_response_from_dict(d: dict) -> UpdateResponse:
 
 
 def _graph_response_to_dict(r: GraphResponse) -> dict:
-    # The graph rides as a nested tagged envelope, so graph-format
-    # migrations apply inside service responses too.
+    # The graph rides as a nested tagged envelope, so its own format
+    # version is checked inside service responses too.
     return {
         "graph": to_dict(r.graph),
         "graph_version": int(r.graph_version),
@@ -694,8 +660,7 @@ def from_dict(payload: dict) -> Any:
         data = payload["data"]
     except (TypeError, KeyError) as exc:
         raise SerializationError(f"malformed payload: {exc}") from exc
-    if version != FORMAT_VERSION:
-        data = apply_migrations(tag, int(version), FORMAT_VERSION, data)
+    check_version(tag, version)
     decoder = _DECODERS.get(tag)
     if decoder is None:
         raise SerializationError(f"unknown format tag {tag!r}")
@@ -747,9 +712,8 @@ def from_wire(payload: Any) -> Any:
     """Decode a wire message produced by :func:`to_wire`.
 
     Accepts ``schema_version`` (canonical on the wire) or ``version``
-    (the on-disk spelling) and routes through :func:`from_dict`, so the
-    :func:`register_migration` chain upgrades old clients' payloads
-    exactly like old files.
+    (the on-disk spelling) and routes through :func:`from_dict`, so a
+    wire version is checked exactly like a file's.
     """
     if not isinstance(payload, dict):
         raise SerializationError(

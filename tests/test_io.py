@@ -194,50 +194,30 @@ class TestDecodeAs:
             decode_as(FastPaymentResult, payload)
 
 
-class TestMigrations:
-    """The schema-upgrade hook the durable engine store rides on."""
+#: Every envelope version a build must refuse: other numbers, and
+#: values that only look like 1.
+OTHER_VERSIONS = [0, 2, "1", "abc", 1.5, 1.0, True, None]
 
-    def _cleanup(self, keys):
-        from repro.io import _MIGRATIONS
 
-        for k in keys:
-            _MIGRATIONS.pop(k, None)
+class TestVersionCheck:
+    """A build reads exactly the version it writes — no migration
+    chain, no coercion of ``"1"``/``1.0``/``True`` to 1."""
 
-    def test_old_payload_upgrades_through_registered_step(self, random_graph):
-        from repro.io import register_migration
-
+    @pytest.mark.parametrize("version", OTHER_VERSIONS)
+    def test_from_dict_rejects_other_versions(self, random_graph, version):
         payload = to_dict(random_graph)
-        payload["version"] = 0
-        payload["data"] = {"legacy": payload["data"]}  # pretend v0 shape
-        register_migration("node-graph", 0, lambda d: d["legacy"])
-        try:
-            back = from_dict(payload)
-            assert np.array_equal(back.costs, random_graph.costs)
-        finally:
-            self._cleanup([("node-graph", 0)])
+        payload["version"] = version
+        with pytest.raises(SerializationError, match="version"):
+            from_dict(payload)
 
-    def test_chained_steps_run_in_order(self):
-        from repro.io import apply_migrations, register_migration
+    @pytest.mark.parametrize("version", OTHER_VERSIONS)
+    def test_from_wire_rejects_other_versions(self, version):
+        from repro.io import PriceRequest, from_wire, to_wire
 
-        register_migration("t", 1, lambda d: {**d, "a": 1})
-        register_migration("t", 2, lambda d: {**d, "b": d["a"] + 1})
-        try:
-            out = apply_migrations("t", 1, 3, {})
-            assert out == {"a": 1, "b": 2}
-        finally:
-            self._cleanup([("t", 1), ("t", 2)])
-
-    def test_unregistered_gap_fails_loudly(self):
-        from repro.io import apply_migrations
-
-        with pytest.raises(SerializationError, match="no migration"):
-            apply_migrations("t", 1, 2, {})
-
-    def test_newer_than_build_fails_loudly(self):
-        from repro.io import apply_migrations
-
-        with pytest.raises(SerializationError, match="newer"):
-            apply_migrations("t", 5, 1, {})
+        doc = to_wire(PriceRequest(5, 0))
+        doc["schema_version"] = version
+        with pytest.raises(SerializationError, match="version"):
+            from_wire(doc)
 
 
 class TestWireEnvelopes:
@@ -348,21 +328,6 @@ class TestWireEnvelopes:
         assert dict(back.payment.payments) == pytest.approx(
             dict(payment.payments)
         )
-
-    def test_wire_migration_chain_applies(self, random_graph):
-        """Old clients' payloads upgrade through register_migration
-        exactly like old files."""
-        from repro.io import from_wire, register_migration, to_wire
-
-        doc = to_wire(random_graph)
-        doc["schema_version"] = 0
-        doc["data"] = {"legacy": doc["data"]}
-        register_migration("node-graph", 0, lambda d: d["legacy"])
-        try:
-            back = from_wire(doc)
-            assert np.array_equal(back.costs, random_graph.costs)
-        finally:
-            TestMigrations._cleanup(TestMigrations(), [("node-graph", 0)])
 
 
 class TestLegacyPriceResponseKeys:

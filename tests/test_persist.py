@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import io as repro_io
 from repro.engine import PricingEngine, generate_workload, replay
 from repro.engine import persist
 from repro.engine.oracle import answer_key
@@ -107,26 +108,72 @@ class TestWal:
             persist.WalWriter(tmp_path / "w.jsonl", fsync="sometimes")
 
 
+def legacy_cache_keys(eng):
+    """The ``spts``/``pairs`` keys older builds wrote into every
+    checkpoint, encoded exactly as they were, from ``eng``'s caches."""
+    return {
+        "spts": {
+            str(root): {
+                "root": int(spt.root),
+                "dist": [repro_io._enc_float(x) for x in spt.dist],
+                "parent": [int(x) for x in spt.parent],
+            }
+            for root, spt in eng._spts.items()
+        },
+        "pairs": [
+            {"source": s, "target": t, "result": repro_io.to_dict(res)}
+            for (s, t), (stamp, res) in eng._pairs.items()
+            if stamp == eng.version
+        ],
+    }
+
+
 class TestCheckpoint:
-    def test_round_trip_with_warm_caches(self, tmp_path):
+    def test_graph_only_round_trip(self, tmp_path):
         g = small_graph()
         eng = PricingEngine(g, on_monopoly="inf")
-        eng.price(5, 0)
-        eng.price(9, 0)
+        eng.update_cost(4, 2.75)
         state = eng._checkpoint_state()
-        assert state.spts and state.pairs  # caches are warm
         path = persist.write_checkpoint(tmp_path / "checkpoint-00000001.json",
                                         state)
+        assert set(json.loads(path.read_text())["data"]) == {
+            "graph", "graph_version", "model", "backend", "on_monopoly",
+        }
         loaded = persist.read_checkpoint(path)
-        assert loaded.graph_version == state.graph_version
+        assert loaded.graph_version == state.graph_version == 1
         assert loaded.model == "node" and loaded.on_monopoly == "inf"
-        assert np.array_equal(loaded.graph.costs, g.costs)
-        for root, spt in state.spts.items():
-            got = loaded.spts[root]
-            assert np.array_equal(got.dist, spt.dist)
-            assert np.array_equal(got.parent, spt.parent)
-        for key, res in state.pairs.items():
-            assert loaded.pairs[key].payments == res.payments
+        assert loaded.backend == state.backend
+        assert np.array_equal(loaded.graph.costs, eng.graph.costs)
+        assert sorted(loaded.graph.edge_iter()) == sorted(g.edge_iter())
+
+    def test_bytes_equal_before_and_after_warming_caches(self, tmp_path):
+        eng = PricingEngine(small_graph(), on_monopoly="inf")
+        cold = persist.write_checkpoint(tmp_path / "checkpoint-00000001.json",
+                                        eng._checkpoint_state())
+        eng.price_many([(s, 0) for s in range(1, eng.n)])
+        assert eng.cache_sizes()["spts"] and eng.cache_sizes()["pairs"]
+        warm = persist.write_checkpoint(tmp_path / "checkpoint-00000002.json",
+                                        eng._checkpoint_state())
+        assert warm.read_bytes() == cold.read_bytes()
+
+    def test_legacy_cache_keys_still_open_bit_identical(self, tmp_path):
+        eng = durable_engine(tmp_path)
+        eng.update_cost(3, 4.5)
+        pairs = [(s, 0) for s in range(1, eng.n)] + [(2, 9), (9, 2)]
+        want = answers(eng, pairs)
+        eng.close()
+        root = tmp_path / "state"
+        path = persist.list_checkpoints(root)[-1]
+        doc = json.loads(path.read_text())
+        doc["data"].update(legacy_cache_keys(eng))
+        assert doc["data"]["spts"] and doc["data"]["pairs"]
+        doc["crc"] = persist._crc_of(doc["data"])  # a valid old file
+        path.write_text(json.dumps(doc))
+        twin = PricingEngine.open(root, resume=False)
+        assert twin.last_recovery.clean
+        assert twin.version == eng.version
+        assert twin.cache_sizes() == {"spts": 0, "pairs": 0}
+        assert answers(twin, pairs) == want
 
     def test_corrupt_checkpoint_detected(self, tmp_path):
         state = PricingEngine(small_graph())._checkpoint_state()
@@ -272,6 +319,30 @@ class TestCorruptionTolerance:
         assert twin.version == eng.version
         assert np.array_equal(twin.graph.costs, eng.graph.costs)
         twin.close()
+
+    @pytest.mark.parametrize("version", ["x", None])
+    def test_bad_envelope_version_falls_back(self, tmp_path, version):
+        # The CRC covers only ``data``, so the envelope's version is
+        # checked on its own.
+        eng = self._engine_with_two_generations(tmp_path)
+        root = tmp_path / "state"
+        newest = persist.list_checkpoints(root)[-1]
+        doc = json.loads(newest.read_text())
+        doc["version"] = version
+        newest.write_text(json.dumps(doc))
+        twin = PricingEngine.open(root, resume=False)
+        assert len(twin.last_recovery.skipped_checkpoints) == 1
+        assert "version" in twin.last_recovery.skipped_checkpoints[0]
+        assert twin.last_recovery.checkpoint_seq < persist._seq_of(newest)
+        assert twin.version == eng.version
+        assert np.array_equal(twin.graph.costs, eng.graph.costs)
+        twin.close()
+        inventory = persist.scan(root)
+        by_file = {c["file"]: c for c in inventory.checkpoints}
+        assert not by_file[newest.name]["valid"]
+        assert "version" in by_file[newest.name]["error"]
+        assert sum(c["valid"] for c in inventory.checkpoints) == 1
+        assert "CORRUPT" in inventory.describe()
 
     def test_all_checkpoints_corrupt_raises(self, tmp_path):
         self._engine_with_two_generations(tmp_path)

@@ -749,6 +749,38 @@ class TestHTTP:
         assert http_server.service.engine.version == 0
         assert http_server.service.stats.requests == 0
 
+    @pytest.mark.parametrize(
+        "path, data",
+        [
+            ("/v1/price", {"source": 5, "target": 0}),
+            ("/v1/price_many", {"pairs": [[5, 0]]}),
+            ("/v1/update", {"op": "cost", "node": 3, "value": 2.0}),
+        ],
+        ids=["price", "price_many", "update"],
+    )
+    @pytest.mark.parametrize(
+        "version", ["abc", None, 1.5, True, "1", 0, 2],
+        ids=["abc", "null", "1.5", "true", "str-1", "0", "2"],
+    )
+    def test_schema_version_other_than_1_maps_to_400(
+        self, http_server, path, data, version
+    ):
+        tag = {
+            "/v1/price": "price-request",
+            "/v1/price_many": "price-many-request",
+            "/v1/update": "update-request",
+        }[path]
+        doc = {"format": tag, "schema_version": version, "data": data}
+        status, err_doc = _post_raw(
+            f"{http_server.url}{path}", json.dumps(doc).encode()
+        )
+        assert status == 400
+        err = repro_io.from_wire(err_doc)
+        assert err.code == "io.serialization"
+        assert "version" in err.message
+        assert http_server.service.engine.version == 0
+        assert http_server.service.stats.requests == 0
+
     def test_unknown_path_404_lists_endpoints(self, http_server):
         try:
             urllib.request.urlopen(f"{http_server.url}/v9/nope", timeout=10)
