@@ -366,3 +366,66 @@ def test_price_many_shares_work(benchmark):
         iterations=1,
     )
     assert t_warm < t_cold
+
+
+def test_leave_rejoin(benchmark):
+    """A leave/rejoin is a logged update, not a graph rebuild.
+
+    Each cycle on the 500-node instance: ``remove_node`` of a live node
+    outside the hot pool, ``add_node`` with its cost and neighbours
+    (the e2e ``churn`` leave/rejoin), then re-pricing the 25 cached hot
+    pairs to AP 0. The two mutations must take < 5 ms together (median
+    over the cycles; an edge-list rebuild plus a log flush took ~38 ms
+    on a 2-vCPU host), and every re-priced answer must be bit-identical
+    to fresh pricing.
+    """
+    from repro.engine.oracle import answer_key
+    from repro.graph.dijkstra import node_weighted_spt
+
+    cycles = 8
+    g = _udg_instance()
+    rng = np.random.default_rng(2004)
+    live = np.flatnonzero(np.isfinite(node_weighted_spt(g, 0).dist))
+    live = live[live != 0]
+    hot = rng.choice(live, size=HOT_SOURCES, replace=False)
+    leavers = rng.choice(np.setdiff1d(live, hot), size=cycles + 1,
+                         replace=False).tolist()
+    pairs = [(int(s), 0) for s in hot]
+    eng = PricingEngine(g, on_monopoly="inf")
+    for key in pairs:
+        eng.price(*key)
+
+    def cycle(node):
+        cost = float(eng.graph.costs[node])
+        neighbors = eng.graph.neighbors(node).tolist()
+        t0 = time.perf_counter()
+        eng.remove_node(node)
+        eng.add_node(cost=cost, neighbors=neighbors)
+        t1 = time.perf_counter()
+        got = {key: eng.price(*key) for key in pairs}
+        t2 = time.perf_counter()
+        return t1 - t0, t2 - t1, got
+
+    t_mutate, t_reprice = [], []
+    for node in leavers[:cycles]:
+        mutate, reprice, got = cycle(node)
+        t_mutate.append(mutate)
+        t_reprice.append(reprice)
+        for key in pairs:
+            want = vcg_unicast_payments(
+                eng.graph, *key, method="fast", on_monopoly="inf"
+            )
+            assert answer_key(got[key]) == answer_key(want)
+    mutate_ms = float(np.median(t_mutate)) * 1e3
+    reprice_ms = float(np.median(t_reprice)) * 1e3
+    emit(
+        f"leave/rejoin on n={g.n}: remove+add {mutate_ms:.2f} ms, "
+        f"re-pricing {len(pairs)} cached pairs {reprice_ms:.2f} ms "
+        f"(medians of {cycles}); retained {eng.stats.retained}, "
+        f"invalidations {eng.stats.invalidations}"
+    )
+    benchmark.extra_info["t_remove_add_ms"] = round(mutate_ms, 3)
+    benchmark.extra_info["t_reprice_ms"] = round(reprice_ms, 3)
+    benchmark.extra_info["engine"] = eng.stats.as_dict()
+    benchmark.pedantic(cycle, args=(leavers[cycles],), rounds=1, iterations=1)
+    assert mutate_ms < 5.0

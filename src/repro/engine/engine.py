@@ -28,9 +28,13 @@ The engine owns the current graph plus a monotonically increasing
   decidable, see below), stamped with the version it was computed at.
 
 A pair stamp that does not match the current version marks the entry
-stale. A *node cost update* itself does almost no work: it swaps the
+stale. A *node-model update* itself does almost no work: it swaps the
 graph snapshot, bumps the version, drops the trees and appends a
-``(node, old, new)`` record to a bounded **update log**. Whether a stale
+``(node, old, new)`` record to a bounded **update log**. A cost
+re-declaration logs the old and new cost; a node leaving is the paper's
+``d |^k inf`` (Section III.A removes ``v_k`` this way to define
+``P_{-v_k}``) and logs ``c_k -> +inf``; a node joining logs
+``+inf -> c_n``. The last two are *topology* records. Whether a stale
 pair is still usable is decided lazily, at lookup, by *fast-forwarding*
 it through the logged updates one at a time — entries nobody asks for
 again never cost anything. A fast-forwarded pair is re-stamped (counted
@@ -38,25 +42,29 @@ per logged step as ``retained``); one that fails is evicted (counted as
 ``invalidations``, or ``stale_evictions`` once it is older than the
 log). Per logged update ``k: c_old -> c_new``:
 
-* **Pair survival.** A cached result for ``(s, t)`` survives trivially
-  when ``k`` is an endpoint (endpoint costs never enter path costs or
-  payments, Section II.C). Otherwise let ``B`` be the largest quantity
-  the result witnessed — ``max(lcp_cost, max(avoiding_costs))``. Path
-  costs in the node model are *symmetric* (reversing a path keeps its
-  internal nodes), so one **witness tree** rooted at ``k`` — built
-  once per logged update, shared by every cached pair — supplies
-  ``d_s[k] = d_k[s]`` and ``d_t[k] = d_k[t]`` for all endpoints at
-  once. These distances never include ``c_k`` (root cost) nor the
-  endpoint's own cost, so they are valid on both the old and the new
-  graph. Any simple ``s``–``t`` path with ``k`` internal costs at
-  least ``d_s[k] + c_k + d_t[k]``; if
+* **Pair survival.** When ``k`` is an endpoint, a cost record leaves
+  a cached result for ``(s, t)`` unchanged (endpoint costs never enter
+  path costs or payments, Section II.C) and a topology record evicts it
+  (the endpoint left, so the pair is now disconnected). Otherwise let
+  ``B`` be the largest quantity the result witnessed —
+  ``max(lcp_cost, max(avoiding_costs))``. Path costs in the node model
+  are *symmetric* (reversing a path keeps its internal nodes), so one
+  **witness tree** rooted at ``k`` — built once per logged update,
+  shared by every cached pair — supplies ``d_s[k] = d_k[s]`` and
+  ``d_t[k] = d_k[t]`` for all endpoints at once. It is built on a
+  snapshot where ``k`` has its edges: the one a cost update or a join
+  produced, the one before a leave. These distances never include
+  ``c_k`` (root cost) nor the endpoint's own cost, so they are valid on
+  both the old and the new graph. Any simple ``s``–``t`` path with
+  ``k`` internal costs at least ``d_s[k] + c_k + d_t[k]``; if
   ``d_k[s] + min(c_old, c_new) + d_k[t] > B`` (strictly), no such path
   can affect the LCP or any avoiding path on either graph, so every
   number in the result is unchanged. Infinite ``B`` (a monopolized
   relay priced with ``on_monopoly="inf"``) never passes — conservative.
 
-Topology changes (``remove_node``/``add_node``) and link-model arc
-updates clear the log instead: the version bump lazily invalidates
+Once its witness exists, a log entry drops its snapshot and keeps only
+``(node, old, new)`` and the tree. Link-model updates (arc weights and
+topology) clear the log instead: the version bump lazily invalidates
 every pair, which is always sound. The log is capped (``_LOG_CAP``
 updates); pairs older than the cap fall back to a plain rebuild at next
 use.
@@ -126,6 +134,7 @@ and corruption-fallback rules live in :mod:`repro.engine.persist`
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -169,11 +178,12 @@ class EngineStats:
     ``cache_hits``/``cache_misses`` count pair-cache outcomes per priced
     pair; ``spt_cache_*`` the endpoint-tree cache (current-version trees
     only — every version bump empties it); ``invalidations`` pairs
-    dropped at lookup because a logged update may have changed them;
-    ``stale_evictions`` pairs dropped because they aged out of the
-    update log (topology change, log cap, or an explicit
-    :meth:`PricingEngine.purge_stale`); ``retained`` fast-forward steps
-    that carried a pair through a logged update unchanged.
+    dropped at lookup because a logged update (cost or topology) may
+    have changed them; ``stale_evictions`` pairs dropped because they
+    aged out of the update log (the log cap, a link-model update, or an
+    explicit :meth:`PricingEngine.purge_stale`); ``retained``
+    fast-forward steps that carried a pair through a logged update
+    unchanged.
 
     ``wal_records``/``checkpoint_writes``/``recoveries`` count the
     durability layer (:mod:`repro.engine.persist`): mutations appended
@@ -211,24 +221,32 @@ def _empty_payment(source: int, target: int, scheme: str) -> UnicastPayment:
     return UnicastPayment(source, target, (), 0.0, {}, scheme=scheme)
 
 
-#: Cost updates remembered for lazy pair fast-forwarding; pairs older
-#: than this fall back to a plain rebuild at next use (memory bound: one
-#: cost vector plus one lazily built witness tree per remembered update).
+#: Node-model updates remembered for lazy pair fast-forwarding; pairs
+#: older than this fall back to a plain rebuild at next use. Memory
+#: bound per remembered update: its graph snapshot until the witness
+#: tree is built (that snapshot's tail-cost CSR is ~190 KB on a
+#: 500-node, 7,859-edge graph), then the witness tree alone.
 _LOG_CAP = 128
 
 
 @dataclass
 class _CostUpdate:
-    """One logged node-cost update, with everything pair fast-forward
-    needs: the snapshot it produced and a witness tree rooted at the
-    updated node, built lazily on that snapshot (see the module
-    docstring's pair-survival test)."""
+    """One logged node-model update ``node: old -> new``, with what pair
+    fast-forward needs (see the module docstring's pair-survival test).
+
+    A leave is ``c_k -> +inf`` and a join ``+inf -> c_n``, both with
+    ``topology`` set. ``graph`` is a snapshot on which ``node`` has its
+    edges (the one the update produced; for a leave, the one before
+    it); the witness tree rooted at ``node`` is built on it lazily, and
+    the snapshot is dropped once the witness exists.
+    """
 
     node: int
     old: float
     new: float
-    graph: NodeWeightedGraph
+    graph: NodeWeightedGraph | None
     witness: ShortestPathTree | None = None
+    topology: bool = False
 
 
 def _price_node_chunk(graph, pairs, on_monopoly, backend):
@@ -803,10 +821,7 @@ class PricingEngine:
             return self._version
         self._graph = self._graph.with_declaration(node, value)
         self._bump_update()
-        self._log[self._version] = _CostUpdate(node, old, value, self._graph)
-        if len(self._log) > _LOG_CAP:
-            self._log_floor = min(self._log)
-            del self._log[self._log_floor]
+        self._log_update(_CostUpdate(node, old, value, self._graph))
         _flight.record("update", version=self._version, value=float(node))
         self._persist_append(
             _persist_mod.update_record("node", node, value, self._version)
@@ -823,13 +838,23 @@ class PricingEngine:
             self._log.clear()
             self._log_floor = self._version
 
+    def _log_update(self, upd: _CostUpdate) -> None:
+        """Log the update that produced the current version, dropping
+        the oldest entry past ``_LOG_CAP``."""
+        self._log[self._version] = upd
+        if len(self._log) > _LOG_CAP:
+            self._log_floor = min(self._log)
+            del self._log[self._log_floor]
+
     def _witness_of(self, upd: _CostUpdate) -> ShortestPathTree:
         """The update's witness tree (rooted at the updated node), built
-        on first use against the snapshot the update produced."""
+        on first use against the logged snapshot, which is then dropped:
+        the witness is all pair survival reads from it."""
         if upd.witness is None:
             upd.witness = node_weighted_spt(
                 upd.graph, upd.node, backend=spt_backend_for(self._backend)
             )
+            upd.graph = None
         return upd.witness
 
     def _pair_survives(
@@ -838,7 +863,9 @@ class PricingEngine:
         s, t = key
         k = upd.node
         if k == s or k == t:
-            return True  # endpoint costs never enter path costs or payments
+            # Endpoint costs never enter path costs or payments, but an
+            # endpoint that left (or joined) changes the answer itself.
+            return not upd.topology
         if not isinstance(res, FastPaymentResult):
             return False  # batch entries carry no intermediates; drop
         witness = self._witness_of(upd)
@@ -870,9 +897,13 @@ class PricingEngine:
         Node ids stay stable (the repo-wide convention — payments on the
         shrunken network refer to the same ids). The node itself remains
         as an isolated vertex; pricing to or from it raises
-        :class:`~repro.errors.DisconnectedError`. Invalidation is
-        conservative: the version bump drops every tree and lazily
-        evicts every pair.
+        :class:`~repro.errors.DisconnectedError`. Node model: the
+        edges are masked out of the CSR in O(n + m) vector work, and
+        the leave is logged as the cost update ``c_k -> +inf``, so a
+        cached pair survives it when every path through the
+        node cost more than anything the pair witnessed; pairs with
+        the node as an endpoint are evicted. Link model: the version
+        bump lazily evicts every pair.
         Thread-safe (write lock).
         """
         with self._rw.write_locked():
@@ -883,16 +914,19 @@ class PricingEngine:
         node = check_node_index(node, self._graph.n)
         if self._model == "link":
             self._graph = self._graph.with_node_removed(node)
+            self._bump_update(flush_log=True)
         else:
-            kept = [
-                (u, v)
-                for u, v in self._graph.edge_iter()
-                if u != node and v != node
-            ]
-            self._graph = NodeWeightedGraph(
-                self._graph.n, kept, self._graph.costs
+            # The paper's ``d |^k inf``: the witness is rooted at ``node``
+            # on the snapshot where it still has its edges.
+            before = self._graph
+            self._graph = before.without_node(node)
+            self._bump_update()
+            self._log_update(
+                _CostUpdate(
+                    node, float(before.costs[node]), math.inf, before,
+                    topology=True,
+                )
             )
-        self._bump_update(flush_log=True)
         _flight.record("topology", version=self._version, value=float(node))
         self._persist_append(
             _persist_mod.remove_record(node, self._version)
@@ -904,10 +938,11 @@ class PricingEngine:
         """Grow the snapshot by one node; returns the **new node's id**.
 
         Node model: the node joins with declared ``cost`` and undirected
-        edges to ``neighbors``. Link model: ``arcs`` are ``(u, v, w)``
-        triples incident to the new node (id ``n``). Invalidation is
-        conservative (lazy, via the version bump). Thread-safe (write
-        lock).
+        edges to ``neighbors`` (one ``np.insert`` into the CSR), logged
+        as the cost update ``+inf -> cost`` that the pair certificate
+        decides like any other. Link model: ``arcs`` are ``(u, v, w)``
+        triples incident to the new node (id ``n``), and the version
+        bump lazily evicts every pair. Thread-safe (write lock).
         """
         with self._rw.write_locked():
             self._check_open()
@@ -921,12 +956,18 @@ class PricingEngine:
             self._graph = LinkWeightedDigraph(
                 n + 1, list(self._graph.arc_iter()) + arcs
             )
+            self._bump_update(flush_log=True)
         else:
-            edges = list(self._graph.edge_iter())
-            edges += [(n, check_node_index(int(v), n)) for v in neighbors]
-            costs = np.append(self._graph.costs, float(cost))
-            self._graph = NodeWeightedGraph(n + 1, edges, costs)
-        self._bump_update(flush_log=True)
+            # A join lowers node ``n``'s cost from +inf; the witness is
+            # rooted at ``n`` on the snapshot that has its edges.
+            self._graph = self._graph.with_node(cost, neighbors)
+            self._bump_update()
+            self._log_update(
+                _CostUpdate(
+                    n, math.inf, float(self._graph.costs[n]), self._graph,
+                    topology=True,
+                )
+            )
         _flight.record("topology", version=self._version, value=float(n))
         self._persist_append(
             _persist_mod.add_record(

@@ -29,12 +29,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.errors import DisconnectedError, error_code
 from repro.graph.node_graph import NodeWeightedGraph
-from repro.utils.validation import check_node_index
 
 __all__ = ["Verdict", "answer_key", "apply_update", "verify"]
 
@@ -80,13 +77,9 @@ def apply_update(g: NodeWeightedGraph, update: tuple) -> NodeWeightedGraph:
     if kind == "cost":
         return g.with_declaration(int(update[1]), float(update[2]))
     if kind == "remove":
-        node = check_node_index(int(update[1]), g.n)
-        kept = [(u, v) for u, v in g.edge_iter() if u != node and v != node]
-        return NodeWeightedGraph(g.n, kept, g.costs)
+        return g.without_node(int(update[1]))
     if kind == "add":
-        n, edges = g.n, list(g.edge_iter())
-        edges += [(n, check_node_index(int(v), n)) for v in update[2]]
-        return NodeWeightedGraph(n + 1, edges, np.append(g.costs, float(update[1])))
+        return g.with_node(update[1], update[2])
     raise ValueError(f"unknown update kind {kind!r}")
 
 

@@ -118,18 +118,30 @@ class NodeWeightedGraph:
         """Build with ``n`` inferred from ``len(costs)``."""
         return cls(len(costs), edges, costs)
 
-    def with_costs(self, costs) -> "NodeWeightedGraph":
-        """Same topology, different cost vector (used for declared costs)."""
+    @staticmethod
+    def _with_csr(
+        n: int, indptr: np.ndarray, indices: np.ndarray, costs, arc_src=None
+    ) -> "NodeWeightedGraph":
+        """Wrap an already sorted, symmetric CSR without rebuilding it."""
         g = object.__new__(NodeWeightedGraph)
-        g.n = self.n
-        g.costs = check_cost_array(costs, self.n, name="node costs")
+        g.n = n
+        g.costs = check_cost_array(costs, n, name="node costs")
         g.costs.setflags(write=False)
-        g.indptr = self.indptr
-        g.indices = self.indices
+        g.indptr = indptr
+        g.indices = indices
+        g.indptr.setflags(write=False)
+        g.indices.setflags(write=False)
         g._nx_cache = None
-        g._arc_src = self._arc_src  # topology-only cache, safe to share
+        g._arc_src = arc_src
         g._tailcost = None  # cost-dependent, cannot be shared
         return g
+
+    def with_costs(self, costs) -> "NodeWeightedGraph":
+        """Same topology, different cost vector (used for declared costs)."""
+        # The arc-source expansion is topology-only, so it is shared.
+        return self._with_csr(
+            self.n, self.indptr, self.indices, costs, self._arc_src
+        )
 
     def with_declaration(self, node: int, declared_cost: float) -> "NodeWeightedGraph":
         """Copy where ``node`` declares ``declared_cost`` instead of its true cost.
@@ -162,6 +174,48 @@ class NodeWeightedGraph:
         """Copy with additional undirected edges."""
         edges = list(self.edge_iter()) + list(extra)
         return NodeWeightedGraph(self.n, edges, self.costs)
+
+    def without_node(self, node: int) -> "NodeWeightedGraph":
+        """Copy where ``node`` keeps its id and cost but loses every edge
+        (a node leaving the network).
+
+        Masks the arcs that touch ``node`` and re-derives ``indptr``:
+        O(n + m) vector work, equal to rebuilding from the kept edges.
+        """
+        node = check_node_index(node, self.n)
+        src = self.arc_sources()
+        keep = (src != node) & (self.indices != node)
+        src = src[keep]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.n), out=indptr[1:])
+        src.setflags(write=False)
+        return self._with_csr(
+            self.n, indptr, self.indices[keep], self.costs, src
+        )
+
+    def with_node(
+        self, cost: float, neighbors: Iterable[int] = ()
+    ) -> "NodeWeightedGraph":
+        """Copy grown by node ``n`` with relaying cost ``cost`` and
+        undirected edges to ``neighbors`` (duplicates coalesce).
+
+        The new id is the largest, so it goes last in every neighbour's
+        sorted row: one ``np.insert`` plus the appended row, O(n + m)
+        vector work, equal to rebuilding from the edge list.
+        """
+        n = self.n
+        nb = np.unique(
+            np.array([check_node_index(v, n) for v in neighbors], dtype=np.int64)
+        )
+        costs = np.append(self.costs, float(cost))
+        deg = np.append(self.degrees, nb.shape[0])
+        deg[nb] += 1
+        indptr = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        indices = np.concatenate(
+            [np.insert(self.indices, self.indptr[nb + 1], n), nb]
+        )
+        return self._with_csr(n + 1, indptr, indices, costs)
 
     # -- queries ---------------------------------------------------------------
 

@@ -32,9 +32,14 @@ from conftest import biconnected_graphs, robust_digraphs
 
 class TestInterleavingProperty:
     @staticmethod
-    def _interleave(g, rng, n_steps, draw_cost, join_cost):
-        """Interleave updates, churn and queries on ``g``; every answer
-        must match the serial oracle at its version."""
+    def _interleave(
+        g, rng, n_steps, draw_cost, join_cost, churn=0.10, query_nodes=None
+    ):
+        """Interleave updates, churn (a ``churn`` share of steps, half
+        leaves and half joins) and queries on ``g``; every answer must
+        match the serial oracle at its version. Queries draw endpoints
+        from the first ``query_nodes`` ids (all by default), so a small
+        pool makes pairs recur. Returns the engine."""
         eng = PricingEngine(g, on_monopoly="inf")
         history, checks = [], []
         for _ in range(n_steps):
@@ -45,17 +50,17 @@ class TestInterleavingProperty:
                 value = draw_cost(rng)
                 eng.update_cost(node, value)
                 history.append((eng.version, ("cost", node, value)))
-            elif r < 0.30:
+            elif r < 0.25 + churn / 2:
                 node = int(rng.integers(n))
                 history.append((eng.remove_node(node), ("remove", node)))
-            elif r < 0.35:
+            elif r < 0.25 + churn:
                 nbrs = rng.choice(n, size=min(3, n), replace=False).tolist()
                 cost = join_cost(rng)
                 assert eng.add_node(cost=cost, neighbors=nbrs) == n
                 history.append((eng.version, ("add", cost, nbrs)))
             else:
-                s = int(rng.integers(n))
-                t = int(rng.integers(n))
+                s = int(rng.integers(query_nodes or n))
+                t = int(rng.integers(query_nodes or n))
                 if s == t:
                     continue
                 try:
@@ -66,6 +71,7 @@ class TestInterleavingProperty:
         verdict = verify(g, history, checks)
         assert verdict.mismatches == 0, verdict.examples
         assert verdict.checked == len(checks)
+        return eng
 
     @given(
         biconnected_graphs(min_nodes=6, max_nodes=14),
@@ -97,6 +103,22 @@ class TestInterleavingProperty:
         rng = np.random.default_rng(seed)
         g = g.with_costs(rng.integers(1, 4, size=g.n).astype(float))
         self._interleave(g, rng, n_steps, small, small)
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_bit_identical_at_scipy_scale_with_heavy_churn(self, seed):
+        # ~100 nodes takes the scipy Dijkstra (n >= 64), and a 20%
+        # leave/join share among queries over a 6-node pool drives
+        # topology records through pair fast-forward. Continuous costs:
+        # ties at this size wait for a canonical tie-break.
+        def cost(rng):
+            return float(rng.uniform(0.5, 20.0))
+
+        g = gen.random_biconnected_graph(100, extra_edge_prob=0.05, seed=seed)
+        eng = self._interleave(
+            g, np.random.default_rng(seed), 150, cost, cost,
+            churn=0.20, query_nodes=6,
+        )
+        assert eng.stats.retained > 0
 
 
 class TestSptCache:
@@ -178,16 +200,6 @@ class TestCaching:
         want = vcg_unicast_payments(eng.graph, 5, 0, method="fast")
         assert dict(got.payments) == dict(want.payments)
 
-    def test_remove_node_lazily_evicts(self, random_graph):
-        eng = PricingEngine(random_graph)
-        eng.price(5, 0)
-        eng.remove_node(11)
-        sizes = eng.cache_sizes()
-        assert sizes["pairs"] == 1  # stale entry still resident
-        eng.price(5, 0)
-        assert eng.stats.stale_evictions >= 1
-        assert eng.stats.cache_hits == 0
-
     def test_purge_stale(self, random_graph):
         eng = PricingEngine(random_graph)
         eng.price(5, 0)
@@ -213,6 +225,105 @@ class TestCaching:
             PricingEngine(random_graph, backend="cuda")
         with pytest.raises(ValueError):
             PricingEngine(random_graph, on_monopoly="shrug")
+
+
+class TestTopologyThroughTheLog:
+    """A leave is the paper's ``d |^k inf`` and a join lowers the new
+    node's cost from +inf: both are logged updates that the pair
+    certificate decides. Every answer must equal fresh pricing on
+    ``eng.graph``."""
+
+    S, T = 5, 0
+
+    def _warm(self, g):
+        eng = PricingEngine(g, on_monopoly="inf")
+        eng.price(self.S, self.T)
+        return eng
+
+    def _assert_fresh(self, eng):
+        got = eng.price(self.S, self.T)
+        want = vcg_unicast_payments(
+            eng.graph, self.S, self.T, method="fast", on_monopoly="inf"
+        )
+        assert answer_key(got) == answer_key(want)
+        return got
+
+    def test_removing_an_off_path_node_retains_the_pair(self, random_graph):
+        from repro.graph.dijkstra import node_weighted_spt
+
+        eng = self._warm(random_graph)
+        _, res = eng._pairs[(self.S, self.T)]
+        bound = max(res.lcp_cost, *res.avoiding_costs.values())
+
+        def through(k):
+            d = node_weighted_spt(random_graph, k).dist
+            return d[self.S] + random_graph.costs[k] + d[self.T]
+
+        far = max(
+            (k for k in range(random_graph.n) if k not in (self.S, self.T)),
+            key=through,
+        )
+        assert through(far) > bound * (1 + 1e-6)
+        eng.remove_node(far)
+        self._assert_fresh(eng)
+        assert eng.stats.cache_hits == 1 and eng.stats.retained == 1
+        assert eng.stats.invalidations == 0
+
+    def test_removing_an_lcp_relay_evicts_the_pair(self, random_graph):
+        eng = self._warm(random_graph)
+        relay = eng.price(self.S, self.T).path[1]
+        assert relay not in (self.S, self.T)
+        eng.remove_node(relay)
+        got = self._assert_fresh(eng)
+        assert relay not in got.path
+        assert eng.stats.invalidations == 1 and eng.stats.retained == 0
+
+    def test_removing_an_endpoint_evicts_the_pair(self, random_graph):
+        eng = self._warm(random_graph)
+        eng.remove_node(self.S)
+        with pytest.raises(DisconnectedError):
+            eng.price(self.S, self.T)
+        with pytest.raises(DisconnectedError):
+            vcg_unicast_payments(eng.graph, self.S, self.T, method="fast")
+        assert eng.stats.invalidations == 1
+        assert eng.cache_sizes()["pairs"] == 0
+
+    def test_far_join_retains_the_pair(self, random_graph):
+        eng = self._warm(random_graph)
+        d_s = eng._spt_of(self.S).dist
+        d_t = eng._spt_of(self.T).dist
+        far = np.argsort(d_s + d_t)[-2:].tolist()
+        n = eng.add_node(cost=float(np.median(random_graph.costs)),
+                         neighbors=far)
+        got = self._assert_fresh(eng)
+        assert n not in got.path
+        assert eng.stats.cache_hits == 1 and eng.stats.retained == 1
+
+    def test_cheap_adjacent_join_evicts_the_pair(self, random_graph):
+        eng = self._warm(random_graph)
+        assert not random_graph.has_edge(self.S, self.T)
+        n = eng.add_node(cost=0.0, neighbors=[self.S, self.T])
+        got = self._assert_fresh(eng)
+        assert got.path == (self.S, n, self.T)
+        assert eng.stats.invalidations == 1 and eng.stats.retained == 0
+
+    def test_log_entries_keep_the_witness_not_the_snapshot(self):
+        from repro.engine.engine import _LOG_CAP
+
+        g = gen.random_biconnected_graph(40, seed=5)
+        eng = PricingEngine(g, on_monopoly="inf")
+        warm = [(s, 0) for s in (3, 9, 17, 25, 31)]
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            eng.update_cost(int(rng.integers(1, g.n)),
+                            float(rng.uniform(1.0, 10.0)))
+            for s, t in warm:
+                eng.price(s, t)
+        log = list(eng._log.values())
+        assert len(log) == _LOG_CAP
+        witnessed = [upd for upd in log if upd.witness is not None]
+        assert witnessed
+        assert all(upd.graph is None for upd in witnessed)
 
 
 class TestPriceMany:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.errors import InvalidGraphError
+from repro.errors import InvalidGraphError, NodeNotFoundError
 from repro.graph.node_graph import NodeWeightedGraph
 
 from conftest import biconnected_graphs
@@ -135,6 +136,79 @@ class TestModification:
         g2 = small_graph.with_extra_edges([(0, 3)])
         assert g2.has_edge(0, 3)
         assert g2.num_edges == small_graph.num_edges + 1
+
+
+@st.composite
+def edge_list_graphs(draw, min_nodes: int = 1, max_nodes: int = 12):
+    """Graphs from a raw edge list: duplicates, both orientations and
+    isolated nodes all occur."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    edges = [(u, v) for u, v in pairs if u != v]
+    costs = draw(st.lists(st.floats(0.0, 20.0), min_size=n, max_size=n))
+    return NodeWeightedGraph(n, edges, costs)
+
+
+def _rebuilt_without(g, k):
+    kept = [(u, v) for u, v in g.edge_iter() if u != k and v != k]
+    return NodeWeightedGraph(g.n, kept, g.costs)
+
+
+def _rebuilt_with(g, cost, neighbors):
+    edges = list(g.edge_iter()) + [(g.n, v) for v in neighbors]
+    return NodeWeightedGraph(g.n + 1, edges, np.append(g.costs, cost))
+
+
+def _assert_same_csr(got, want):
+    assert got == want
+    for name in ("indptr", "indices", "costs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert not a.flags.writeable, name
+    assert np.array_equal(got.arc_sources(), want.arc_sources())
+
+
+class TestNodeEdits:
+    """``without_node``/``with_node`` edit the CSR in place of an
+    edge-list rebuild and must produce exactly what the rebuild does."""
+
+    @given(edge_list_graphs(), st.data())
+    def test_without_node_equals_rebuild(self, g, data):
+        k = data.draw(st.integers(0, g.n - 1))
+        once = g.without_node(k)
+        _assert_same_csr(once, _rebuilt_without(g, k))
+        assert once.degree(k) == 0
+        # Removing a node that is already isolated changes nothing.
+        _assert_same_csr(once.without_node(k), once)
+
+    @given(edge_list_graphs(min_nodes=0), st.data())
+    def test_with_node_equals_rebuild(self, g, data):
+        nbrs = data.draw(
+            st.lists(st.integers(0, max(g.n - 1, 0)), max_size=6 if g.n else 0)
+        )
+        cost = data.draw(st.floats(0.0, 20.0))
+        _assert_same_csr(g.with_node(cost, nbrs), _rebuilt_with(g, cost, nbrs))
+
+    def test_single_node(self):
+        g = NodeWeightedGraph(1, [], [3.0])
+        _assert_same_csr(g.without_node(0), g)
+        grown = g.with_node(1.0, [0, 0])
+        _assert_same_csr(grown, NodeWeightedGraph(2, [(0, 1)], [3.0, 1.0]))
+        _assert_same_csr(grown.without_node(1), _rebuilt_without(grown, 1))
+
+    @pytest.mark.parametrize("bad", [-1, 6, 99])
+    def test_out_of_range_raises_as_before(self, small_graph, bad):
+        with pytest.raises(NodeNotFoundError):
+            small_graph.without_node(bad)
+        with pytest.raises(NodeNotFoundError):
+            small_graph.with_node(1.0, [0, bad])
+
+    def test_bad_cost_raises_as_before(self, small_graph):
+        with pytest.raises(InvalidGraphError, match="negative"):
+            small_graph.with_node(-1.0, [0])
+        with pytest.raises(InvalidGraphError, match="infinite"):
+            small_graph.with_node(float("inf"), [0])
 
 
 class TestEquality:
