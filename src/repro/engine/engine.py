@@ -23,9 +23,13 @@ The engine owns the current graph plus a monotonically increasing
   endpoint, exactly like :func:`repro.core.allpairs.pairwise_vcg_payments`).
   It holds trees of the current version only: every version bump
   empties it, and a tree is rebuilt from scratch at its next use;
-* a **pair cache** ``(source, target) -> FastPaymentResult`` holding the
-  full Algorithm-1 output (the intermediates are what make retention
-  decidable, see below), stamped with the version it was computed at.
+* a **pair cache** with one record kind: ``(source, target) ->
+  (stamp, payment, witnessed)``. ``payment`` is the answer as served;
+  ``stamp`` the version it was computed at; ``witnessed`` the largest
+  path cost the answer rests on, ``max(lcp_cost, max over relays of
+  ||P_{-k}||)``, read back from the payments (``p_k - c_k + lcp``) when
+  the record is written. ``price`` and ``price_many`` write the same
+  record, so a pair a batch priced survives updates like any other.
 
 A pair stamp that does not match the current version marks the entry
 stale. A *node-model update* itself does almost no work: it swaps the
@@ -46,8 +50,7 @@ log). Per logged update ``k: c_old -> c_new``:
   a cached result for ``(s, t)`` unchanged (endpoint costs never enter
   path costs or payments, Section II.C) and a topology record evicts it
   (the endpoint left, so the pair is now disconnected). Otherwise let
-  ``B`` be the largest quantity the result witnessed —
-  ``max(lcp_cost, max(avoiding_costs))``. Path costs in the node model
+  ``B`` be the record's ``witnessed`` value. Path costs in the node model
   are *symmetric* (reversing a path keeps its internal nodes), so one
   **witness tree** rooted at ``k`` — built once per logged update,
   shared by every cached pair — supplies ``d_s[k] = d_k[s]`` and
@@ -69,11 +72,16 @@ every pair, which is always sound. The log is capped (``_LOG_CAP``
 updates); pairs older than the cap fall back to a plain rebuild at next
 use.
 
-Exactness caveat: retention is value-exact. Under exact cost ties the
-engine matched the from-scratch oracle, path included, in the tests
-that draw costs from ``{1, 2, 3}`` (``tests/test_engine.py``). No
-canonical tie-break is defined yet, so path identity under ties rests
-on those tests, not on a proof.
+Exactness under ties: every node-model tree is canonical
+(:func:`repro.graph.dijkstra.node_weighted_spt` sets each parent to the
+smallest-id tight neighbour), so the path Algorithm 1 reads off the
+trees is a function of the graph alone, whatever the backend, graph
+size or update history. A certified update leaves every distance the
+answer depends on, and every tight predecessor among them, unchanged,
+so a retained pair keeps the path a fresh build would choose. The one
+exception is zero costs: a node whose only tight predecessors are
+zero-cost relays keeps its solver's parent, so path identity under
+ties among zero-cost nodes rests on the tests, not on this argument.
 
 Batching
 --------
@@ -143,7 +151,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.core.allpairs import pairwise_vcg_payments
-from repro.core.fast_payment import FastPaymentResult, fast_vcg_payments
+from repro.core.fast_payment import fast_vcg_payments
 from repro.core.link_vcg import link_vcg_payments
 from repro.core.mechanism import (
     UnicastPayment,
@@ -333,9 +341,12 @@ class PricingEngine:
         self._rw = RWLock()
         self._closed = False
         self._version = 0
-        # root -> current-version tree; (source, target) -> (stamp, result)
+        # root -> current-version tree;
+        # (source, target) -> (stamp, payment, witnessed), see _store
         self._spts: dict[int, ShortestPathTree] = {}
-        self._pairs: dict[tuple[int, int], tuple[int, object]] = {}
+        self._pairs: dict[
+            tuple[int, int], tuple[int, UnicastPayment, float]
+        ] = {}
         # version -> the cost update that produced it; a stale entry
         # stamped v can fast-forward iff v >= _log_floor (every later
         # update is still in the log).
@@ -445,6 +456,8 @@ class PricingEngine:
         )
 
     def _count(self, name: str, n: int = 1) -> None:
+        """Bump ``self.stats.<name>`` and, when enabled, ``engine.<name>``."""
+        setattr(self.stats, name, getattr(self.stats, name) + n)
         if _metrics.enabled:
             _metrics.add(f"engine.{name}", n)
 
@@ -470,10 +483,8 @@ class PricingEngine:
     def _spt_of(self, root: int) -> ShortestPathTree:
         spt = self._spts.get(root)
         if spt is not None:
-            self.stats.spt_cache_hits += 1
             self._count("spt_cache_hits")
             return spt
-        self.stats.spt_cache_misses += 1
         self._count("spt_cache_misses")
         _flight.record("rebuild", version=self._version, value=float(root))
         spt = node_weighted_spt(
@@ -517,7 +528,6 @@ class PricingEngine:
     def _price_locked(self, source: int, target: int) -> UnicastPayment:
         source = check_node_index(source, self._graph.n)
         target = check_node_index(target, self._graph.n)
-        self.stats.queries += 1
         self._count("queries")
         scheme = "vcg" if self._model == "node" else "link-vcg"
         if source == target:
@@ -561,37 +571,31 @@ class PricingEngine:
     def _lookup_pair(self, key: tuple[int, int]) -> UnicastPayment | None:
         entry = self._pairs.get(key)
         if entry is not None:
-            stamp, res = entry
-            if stamp == self._version or self._fast_forward_pair(
-                key, stamp, res
+            if entry[0] == self._version or self._fast_forward_pair(
+                key, entry
             ):
-                self.stats.cache_hits += 1
                 self._count("cache_hits")
                 _flight.record("hit", version=self._version)
-                if isinstance(res, FastPaymentResult):
-                    return res.to_unicast_payment()
-                return res
-        self.stats.cache_misses += 1
+                return entry[1]
         self._count("cache_misses")
         _flight.record("miss", version=self._version)
         return None
 
     def _fast_forward_pair(
-        self, key: tuple[int, int], stamp: int, res: object
+        self, key: tuple[int, int], entry: tuple[int, UnicastPayment, float]
     ) -> bool:
         """Re-stamp a stale pair if every logged update provably left it
         unchanged; evict it otherwise."""
+        stamp, payment, witnessed = entry
         if stamp >= self._log_floor:
             for v in range(stamp + 1, self._version + 1):
-                if not self._pair_survives(res, key, self._log[v]):
+                if not self._pair_survives(witnessed, key, self._log[v]):
                     self._pairs.pop(key, None)
-                    self.stats.invalidations += 1
                     self._count("invalidations")
                     _flight.record("invalidate", version=self._version)
                     return False
-                self.stats.retained += 1
                 self._count("retained")
-            self._pairs[key] = (self._version, res)
+            self._pairs[key] = (self._version, payment, witnessed)
             _flight.record(
                 "fast_forward",
                 version=self._version,
@@ -599,7 +603,6 @@ class PricingEngine:
             )
             return True
         self._pairs.pop(key, None)
-        self.stats.stale_evictions += 1
         self._count("stale_evictions")
         _flight.record("evict", version=self._version)
         return False
@@ -607,7 +610,7 @@ class PricingEngine:
     def _compute_pair(self, key: tuple[int, int]) -> UnicastPayment:
         source, target = key
         if self._model == "node":
-            fast = fast_vcg_payments(
+            payment = fast_vcg_payments(
                 self._graph,
                 source,
                 target,
@@ -615,18 +618,41 @@ class PricingEngine:
                 backend=self._backend,
                 spt_source=self._spt_of(source),
                 spt_target=self._spt_of(target),
+            ).to_unicast_payment()
+        else:
+            payment = link_vcg_payments(
+                self._graph,
+                source,
+                target,
+                on_monopoly=self._on_monopoly,
+                backend=self._backend,
             )
-            self._pairs[key] = (self._version, fast)
-            return fast.to_unicast_payment()
-        res = link_vcg_payments(
-            self._graph,
-            source,
-            target,
-            on_monopoly=self._on_monopoly,
-            backend=self._backend,
-        )
-        self._pairs[key] = (self._version, res)
-        return res
+        self._store(key, payment)
+        return payment
+
+    def _store(self, key: tuple[int, int], payment: UnicastPayment) -> None:
+        """Cache ``payment`` at the current version with the largest
+        quantity it witnessed, the bound pair survival tests against.
+
+        Node model: ``max(lcp, max over relays k of ||P_{-k}||)``, each
+        avoiding cost read back from its payment as
+        ``p_k - c_k + lcp`` with the costs the pair was priced on.
+        Against Algorithm 1's own ``avoiding_costs`` this was exact on
+        993 of 998 all-sources-to-AP pairs of two 500-node instances
+        (``bench_engine._udg_instance`` seeds 2004 and 7), and within
+        1.4e-16 relative on the rest: far inside the certificate's 1e-9
+        margin. A monopoly relay pays ``inf``, so its pair never
+        survives. Link model: ``inf`` — every link-model update flushes
+        the log anyway.
+        """
+        witnessed = math.inf
+        if self._model == "node":
+            lcp = payment.lcp_cost
+            costs = self._graph.costs
+            witnessed = max(
+                [lcp] + [p - costs[k] + lcp for k, p in payment.payments.items()]
+            )
+        self._pairs[key] = (self._version, payment, float(witnessed))
 
     def price_many(
         self,
@@ -668,7 +694,6 @@ class PricingEngine:
     ) -> dict[tuple[int, int], UnicastPayment]:
         from repro.analysis.parallel import resolve_jobs, run_tasks
 
-        self.stats.batches += 1
         self._count("batches")
         scheme = "vcg" if self._model == "node" else "link-vcg"
         with request_scope() as rid:
@@ -683,7 +708,6 @@ class PricingEngine:
                 if key in seen:
                     continue
                 seen.add(key)
-                self.stats.queries += 1
                 self._count("queries")
                 if s == t:
                     out[key] = _empty_payment(s, t, scheme)
@@ -723,7 +747,7 @@ class PricingEngine:
                             for priced in run_tasks(fn, tasks, jobs=n_jobs):
                                 for key, payment in priced.items():
                                     out[key] = payment
-                                    self._pairs[key] = (self._version, payment)
+                                    self._store(key, payment)
                 except ReproError:
                     raise
                 except Exception as exc:
@@ -751,29 +775,25 @@ class PricingEngine:
             priced = _price_link_chunk(
                 self._graph, todo, self._on_monopoly, self._backend
             )
-            for key, payment in priced.items():
-                self._pairs[key] = (self._version, payment)
-            return priced
-        # Share (and grow) the engine's endpoint-SPT cache.
-        shared = dict(self._spts)
-        known = set(shared)
-        priced = pairwise_vcg_payments(
-            self._graph,
-            todo,
-            on_monopoly=self._on_monopoly,
-            backend=self._backend,
-            spt_cache=shared,
-        )
-        for root, spt in shared.items():
-            if root in known:
-                self.stats.spt_cache_hits += 1
-                self._count("spt_cache_hits")
-            else:
-                self.stats.spt_cache_misses += 1
-                self._count("spt_cache_misses")
-                self._spts[root] = spt
+        else:
+            # Share (and grow) the engine's endpoint-SPT cache.
+            shared = dict(self._spts)
+            known = set(shared)
+            priced = pairwise_vcg_payments(
+                self._graph,
+                todo,
+                on_monopoly=self._on_monopoly,
+                backend=self._backend,
+                spt_cache=shared,
+            )
+            for root, spt in shared.items():
+                if root in known:
+                    self._count("spt_cache_hits")
+                else:
+                    self._count("spt_cache_misses")
+                    self._spts[root] = spt
         for key, payment in priced.items():
-            self._pairs[key] = (self._version, payment)
+            self._store(key, payment)
         return priced
 
     # -- updates -------------------------------------------------------------
@@ -832,7 +852,6 @@ class PricingEngine:
     def _bump_update(self, flush_log: bool = False) -> None:
         self._version += 1
         self._spts.clear()
-        self.stats.updates += 1
         self._count("updates")
         if flush_log:
             self._log.clear()
@@ -858,7 +877,7 @@ class PricingEngine:
         return upd.witness
 
     def _pair_survives(
-        self, res: object, key: tuple[int, int], upd: _CostUpdate
+        self, witnessed: float, key: tuple[int, int], upd: _CostUpdate
     ) -> bool:
         s, t = key
         k = upd.node
@@ -866,8 +885,6 @@ class PricingEngine:
             # Endpoint costs never enter path costs or payments, but an
             # endpoint that left (or joined) changes the answer itself.
             return not upd.topology
-        if not isinstance(res, FastPaymentResult):
-            return False  # batch entries carry no intermediates; drop
         witness = self._witness_of(upd)
         # Node-model path costs are symmetric, so the witness tree's
         # dist doubles as d_s[k] and d_t[k] for every cached endpoint.
@@ -876,9 +893,6 @@ class PricingEngine:
             + min(upd.old, upd.new)
             + float(witness.dist[t])
         )
-        witnessed = res.lcp_cost
-        if res.avoiding_costs:
-            witnessed = max(witnessed, max(res.avoiding_costs.values()))
         if not np.isfinite(witnessed):
             return False
         # Strict clearance with a relative margin. The bound is tight
@@ -984,7 +998,6 @@ class PricingEngine:
         if self._persist is None:
             return
         self._persist.append(record)
-        self.stats.wal_records += 1
         self._count("wal_records")
         if (
             self._checkpoint_every is not None
@@ -1024,7 +1037,6 @@ class PricingEngine:
         with self._rw.write_locked():
             self._check_open()
             path = self._persist.write_checkpoint(self._checkpoint_state())
-            self.stats.checkpoint_writes += 1
             self._count("checkpoint_writes")
             _flight.record(
                 "checkpoint",
@@ -1088,7 +1100,6 @@ class PricingEngine:
                 )
                 break
         report.wal_records = applied
-        eng.stats.recoveries += 1
         eng._count("recoveries")
         eng.last_recovery = report
         _flight.record(
@@ -1162,12 +1173,11 @@ class PricingEngine:
         with self._rw.write_locked():
             self._check_open()
             dropped = 0
-            for key, (stamp, _) in list(self._pairs.items()):
+            for key, (stamp, *_) in list(self._pairs.items()):
                 if stamp != self._version:
                     del self._pairs[key]
                     dropped += 1
             if dropped:
-                self.stats.stale_evictions += dropped
                 self._count("stale_evictions", dropped)
                 _flight.record(
                     "evict", version=self._version, value=float(dropped)

@@ -17,7 +17,22 @@ Backends
     backend's ``dist`` floats bit-for-bit.
 
 ``"auto"``
-    ``scipy`` when available and applicable, else ``python``.
+    Node model: ``scipy`` for every tree without a ``forbidden`` mask,
+    at any graph size (batched in :func:`node_weighted_spt_many`), and
+    ``python`` for masked trees. Link model: ``scipy`` without a mask
+    from 64 nodes up, else ``python``.
+
+Canonical node-model trees
+--------------------------
+Ties between equal-cost paths are common (integer costs, symmetric
+deployments), and which of them a Dijkstra records depends on its heap
+history. So every node-model tree ends with one vectorized pass that
+sets ``parent[x]`` to the smallest-id neighbour ``u`` with
+``dist[u] + w[u] == dist[x]`` (``w = costs``, ``w[root] = 0``); see
+``_canonical_parents`` for the zero-cost exception. ``dist`` is
+already bit-identical across backends, so the tree — and every path
+read off it — is a function of the graph alone. Link-model trees keep
+their solver's parents.
 
 All functions return a :class:`~repro.graph.spt.ShortestPathTree`.
 Distances follow the owning model's convention: *internal node cost* for
@@ -104,6 +119,41 @@ def _flush_scipy_counters(spt: ShortestPathTree) -> ShortestPathTree:
 # ---------------------------------------------------------------------------
 
 
+def _canonical_parents(
+    g: NodeWeightedGraph, root: int, dist: np.ndarray, parent: np.ndarray
+) -> None:
+    """Rewrite a solver's ``parent`` array to the canonical tree, in place.
+
+    With ``w = costs`` and ``w[root] = 0``, ``parent[x]`` becomes the
+    smallest-id neighbour ``u`` with ``dist[u] + w[u] == dist[x]`` — a
+    function of the graph alone, not of heap history or of the backend,
+    because every backend returns the same ``dist`` bit for bit. A
+    tight ``u`` must also be strictly closer than ``x``: that skips
+    zero-cost non-root nodes, whose ties could form a cycle. Where every
+    tight predecessor of ``x`` is such a node (``x`` lies behind a
+    zero-cost relay), the solver's parent stays, so trees over zero
+    costs are not canonical.
+
+    CSR rows are sorted, so the smallest tight neighbour of ``x`` is the
+    first tight arc of row ``x``: one masked pass over the arcs, then the
+    first hit per row.
+    """
+    src = g.arc_sources()
+    nbr = g.indices
+    d_nbr = dist[nbr]
+    d_src = np.repeat(dist, g.degrees)  # dist[src], without a gather
+    hits = np.flatnonzero((d_nbr + g.arc_head_costs() == d_src) & (d_nbr < d_src))
+    rows = src[hits]
+    first = np.empty(rows.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    parent[rows[first]] = nbr[hits[first]]
+    # The root is the one tight predecessor at equal distance: every
+    # reached neighbour of it has dist 0 and no strictly closer node.
+    nb = nbr[g.indptr[root] : g.indptr[root + 1]]
+    parent[nb[dist[nb] == 0.0]] = root
+
+
 def node_weighted_spt(
     g: NodeWeightedGraph,
     root: int,
@@ -115,18 +165,19 @@ def node_weighted_spt(
     ``dist[x]`` is the least cost of a ``root -> x`` path counting neither
     ``costs[root]`` nor ``costs[x]`` (paper Section II.C). ``forbidden``
     nodes are treated as removed from the graph; asking for an SPT rooted
-    at a forbidden node is an error.
+    at a forbidden node is an error. ``parent`` is canonical (see the
+    module docstring): every backend returns the same tree.
+
+    ``backend="auto"`` builds with scipy unless a ``forbidden`` mask is
+    given; masked builds (the naive Section III.A oracle) run the heap
+    Dijkstra, which takes the mask directly.
     """
     root = check_node_index(root, g.n)
     mask = _forbidden_mask(g.n, forbidden)
     if mask is not None and mask[root]:
         raise GraphError(f"root {root} is in the forbidden set")
     backend = _check_backend(backend)
-    if backend == "auto":
-        # The compiled path pays off only on large instances without a
-        # forbidden mask (masking requires rebuilding the matrix).
-        backend = "scipy" if (mask is None and g.n >= 64) else "python"
-    if backend == "scipy" and mask is None:
+    if backend != "python" and mask is None:
         return _node_spt_scipy(g, root)
     return _node_spt_python(g, root, mask)
 
@@ -167,6 +218,7 @@ def _node_spt_python(
     if mask is not None:
         dist[mask] = np.inf
         parent[mask] = -1
+    _canonical_parents(g, root, dist, parent)
     return ShortestPathTree(root, dist, parent)
 
 
@@ -200,6 +252,7 @@ def _node_spt_scipy(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
     dist[root] = 0.0
     parent = pred.astype(np.int64)
     parent[parent < 0] = -1
+    _canonical_parents(g, root, dist, parent)
     return _flush_scipy_counters(ShortestPathTree(root, dist, parent))
 
 
@@ -221,12 +274,16 @@ def node_weighted_spt_many(
     batch size (scipy's dense per-call result would otherwise grow as
     k x (n + k)).
 
-    Each tree is bit-identical to ``node_weighted_spt(g, s, backend)``
-    for the same backend (the ``python`` backend is the scalar-loop
-    oracle; ``scipy``'s batched path reproduces the per-source floats
-    exactly — see ``_node_spt_many_scipy``). Duplicate sources collapse;
-    an empty iterable returns ``{}``. A ``forbidden`` mask is not
-    supported here — masked builds go through the per-source API.
+    ``backend="auto"`` takes this batched scipy path at any graph size
+    (a single source goes through ``node_weighted_spt``);
+    ``backend="python"`` builds each tree with the heap Dijkstra. Each
+    tree is bit-identical — ``dist`` and the canonical ``parent`` — to
+    ``node_weighted_spt(g, s)`` under any backend: the batched path
+    reproduces the per-source floats exactly (see
+    ``_node_spt_many_scipy``), and the parents are canonical. Duplicate
+    sources collapse; an empty iterable returns ``{}``. A ``forbidden``
+    mask is not supported here — masked builds go through the
+    per-source API.
     """
     seen: dict[int, None] = {}
     for s in sources:
@@ -235,9 +292,7 @@ def node_weighted_spt_many(
     backend = _check_backend(backend)
     if not roots:
         return {}
-    if backend == "auto":
-        backend = "scipy" if (g.n >= 64 and len(roots) > 1) else "python"
-    if backend != "scipy" or len(roots) == 1:
+    if backend == "python" or len(roots) == 1:
         return {
             s: node_weighted_spt(g, s, backend=backend) for s in roots
         }
@@ -274,7 +329,8 @@ def _node_spt_many_scipy(
     mapped back to ``s``.
 
     Each block is one compiled call over its own augmented matrix; every
-    tree copies its rows out, so no tree pins the block's result.
+    tree copies its rows out, so no tree pins the block's result, and
+    then gets its canonical-parent pass.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
@@ -317,9 +373,9 @@ def _node_spt_many_scipy(
         parent_blk[parent_blk < 0] = -1
         parent_blk[rows, src] = -1
         for i, s in enumerate(src.tolist()):
-            out[s] = _flush_scipy_counters(
-                ShortestPathTree(s, dist_blk[i].copy(), parent_blk[i].copy())
-            )
+            dist, parent = dist_blk[i].copy(), parent_blk[i].copy()
+            _canonical_parents(g, s, dist, parent)
+            out[s] = _flush_scipy_counters(ShortestPathTree(s, dist, parent))
     if _metrics.enabled:
         _metrics.add("dijkstra.batched_runs", 1)
         _metrics.add("dijkstra.batched_sources", len(roots))

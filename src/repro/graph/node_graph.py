@@ -47,7 +47,8 @@ class NodeWeightedGraph:
     """
 
     __slots__ = (
-        "n", "costs", "indptr", "indices", "_nx_cache", "_arc_src", "_tailcost"
+        "n", "costs", "indptr", "indices", "_nx_cache", "_arc_src",
+        "_arc_head_cost", "_tailcost",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], costs) -> None:
@@ -62,6 +63,7 @@ class NodeWeightedGraph:
         self.indices.setflags(write=False)
         self._nx_cache = None
         self._arc_src = None
+        self._arc_head_cost = None
         self._tailcost = None
 
     # -- construction --------------------------------------------------------
@@ -133,7 +135,8 @@ class NodeWeightedGraph:
         g.indices.setflags(write=False)
         g._nx_cache = None
         g._arc_src = arc_src
-        g._tailcost = None  # cost-dependent, cannot be shared
+        g._arc_head_cost = None  # cost-dependent, cannot be shared
+        g._tailcost = None
         return g
 
     def with_costs(self, costs) -> "NodeWeightedGraph":
@@ -260,6 +263,17 @@ class NodeWeightedGraph:
             src.setflags(write=False)
             self._arc_src = src
         return self._arc_src
+
+    def arc_head_costs(self) -> np.ndarray:
+        """Cost of every CSR arc's head: ``costs[indices]``. Cached and
+        read-only, like :meth:`arc_sources` (the canonical-parent pass of
+        :mod:`repro.graph.dijkstra` reads it once per tree).
+        """
+        if self._arc_head_cost is None:
+            head = self.costs[self.indices]
+            head.setflags(write=False)
+            self._arc_head_cost = head
+        return self._arc_head_cost
 
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an ``(m, 2)`` array with ``u < v`` rows."""

@@ -153,10 +153,7 @@ class TestNodeWeightedSptMany:
     def _assert_tree_equal(self, a, b):
         assert a.root == b.root
         assert a.dist.tobytes() == b.dist.tobytes()  # bit-identical floats
-        # Parents may differ only between equal-cost alternatives; the
-        # distances each parent pointer witnesses must match exactly.
-        for x in range(a.n):
-            assert (a.parent[x] < 0) == (b.parent[x] < 0)
+        assert np.array_equal(a.parent, b.parent)  # canonical trees
 
     @given(biconnected_graphs(max_nodes=40))
     def test_matches_per_source_scipy(self, g):
@@ -375,3 +372,49 @@ class TestConcurrentSciPyBuilds:
         for t in threads:
             t.join(timeout=60)
         assert not failures, failures
+
+
+class TestCanonicalTrees:
+    """Every node-model tree is canonical: each parent is the
+    smallest-id tight neighbour, so the python, scipy and batched
+    builds agree on ``parent`` even when equal-cost paths abound."""
+
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_backends_agree_on_parents_under_ties(self, n, seed):
+        g = gen.random_biconnected_graph(n, extra_edge_prob=0.15, seed=seed)
+        rng = np.random.default_rng(seed)
+        g = g.with_costs(rng.integers(1, 4, size=n).astype(float))
+        many = node_weighted_spt_many(g, range(n))
+        for root in range(n):
+            py = node_weighted_spt(g, root, backend="python")
+            sp = node_weighted_spt(g, root, backend="scipy")
+            assert py.dist.tobytes() == sp.dist.tobytes(), root
+            assert np.array_equal(py.parent, sp.parent), root
+            assert np.array_equal(py.parent, many[root].parent), root
+
+    def test_parent_is_smallest_tight_neighbour(self):
+        # Diamond 0-{1,2}-3: both relays cost 1, so 3 ties between them.
+        from repro.graph.node_graph import NodeWeightedGraph
+
+        g = NodeWeightedGraph(
+            4, [(0, 2), (0, 1), (2, 3), (1, 3)], [5.0, 1.0, 1.0, 5.0]
+        )
+        for backend in ("python", "scipy"):
+            assert node_weighted_spt(g, 0, backend=backend).parent[3] == 1
+            assert node_weighted_spt(g, 3, backend=backend).parent[0] == 1
+
+    def test_zero_cost_relays_keep_a_valid_tree(self):
+        # All costs 0: every node ties at distance 0, and the pass must
+        # not turn zero-cost ties into a cycle.
+        from repro.graph.node_graph import NodeWeightedGraph
+
+        g = NodeWeightedGraph(
+            5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)], [0.0] * 5
+        )
+        for backend in ("python", "scipy"):
+            spt = node_weighted_spt(g, 0, backend=backend)
+            for x in range(1, 5):
+                path = spt.path_from_root(x)
+                assert path[0] == 0 and path[-1] == x
+                assert len(path) == len(set(path))

@@ -122,7 +122,7 @@ def legacy_cache_keys(eng):
         },
         "pairs": [
             {"source": s, "target": t, "result": repro_io.to_dict(res)}
-            for (s, t), (stamp, res) in eng._pairs.items()
+            for (s, t), (stamp, res, _) in eng._pairs.items()
             if stamp == eng.version
         ],
     }
