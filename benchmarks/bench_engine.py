@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.engine import PricingEngine, generate_workload, replay
 from repro.wireless.topology import build_node_graph_from_udg
@@ -124,8 +125,9 @@ def test_batched_spt_speedup(benchmark, scale):
     path — SPTs built one source at a time in a Python loop, identical
     Algorithm-1 kernels (``backend="numpy"``) — by >= 3x, bit-identically.
 
-    With ``REPRO_BENCH_JOBS`` > 1 the same batch also goes through the
-    persistent-pool fan-out and must agree.
+    With ``REPRO_BENCH_JOBS`` > 1 the same batch also goes through
+    :func:`repro.api.price_all_pairs`' worker-pool fan-out and must
+    agree.
     """
     from repro.core.allpairs import pairwise_vcg_payments
 
@@ -151,9 +153,7 @@ def test_batched_spt_speedup(benchmark, scale):
         assert dict(a.payments) == dict(b.payments)
 
     if scale.jobs not in (0, 1):
-        par = PricingEngine(g, on_monopoly="inf").price_many(
-            pairs, jobs=scale.jobs
-        )
+        par = api.price_all_pairs(g, pairs, jobs=scale.jobs)
         for key in pairs:
             assert par[key].path == batched[key].path
             assert dict(par[key].payments) == dict(batched[key].payments)
@@ -215,15 +215,16 @@ def test_engine_wal_overhead(benchmark, tmp_path, scale):
 
     The same warmed workload replays through an in-memory engine and a
     durable one (``checkpoint_dir=`` with the default ``"interval"``
-    fsync policy), and the WAL must cost < 15% wall-clock. The timed
-    section is the durable replay, so ``bench_compare`` also gates it
-    against the committed baseline.
+    fsync policy), and the WAL must cost < 15% wall-clock, read as the
+    median of the per-chunk durable/in-memory ratios. The timed section
+    is the durable replay, so ``bench_compare`` also gates it against
+    the committed baseline.
     """
     g = _udg_instance()
     # One long stream, chunked: every measured chunk carries *fresh*
     # update declarations (replaying identical ops twice would no-op
     # the updates and log nothing — measuring noise, not the WAL).
-    chunk_len, n_chunks = 200, 6
+    chunk_len, n_chunks = 200, 11
     ops = generate_workload(
         g, n_ops=chunk_len * n_chunks, update_frac=0.1, seed=7, target=0,
         hot_sources=HOT_SOURCES,
@@ -236,26 +237,33 @@ def test_engine_wal_overhead(benchmark, tmp_path, scale):
     replay(plain, chunks[0])  # warm caches: steady state
     replay(durable, chunks[0])
 
-    # Interleave timed chunks so machine noise hits both sides alike;
-    # both engines apply the identical mutation stream throughout.
+    # Interleave timed chunks, alternating which engine goes first, so
+    # machine noise and warm-up order hit both sides alike; both engines
+    # apply the identical mutation stream throughout. The gate reads the
+    # median per-chunk ratio: one scheduler hiccup moves one chunk, not
+    # the verdict.
+    ratios = []
     t_plain = t_durable = 0.0
-    for chunk in chunks[1:]:
-        t0 = time.perf_counter()
-        replay(plain, chunk)
-        t_plain += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        replay(durable, chunk)
-        t_durable += time.perf_counter() - t0
+    for i, chunk in enumerate(chunks[1:]):
+        took = {}
+        for eng in ((plain, durable) if i % 2 == 0 else (durable, plain)):
+            t0 = time.perf_counter()
+            replay(eng, chunk)
+            took[id(eng)] = time.perf_counter() - t0
+        t_plain += took[id(plain)]
+        t_durable += took[id(durable)]
+        ratios.append(took[id(durable)] / took[id(plain)])
     durable.close()
     assert durable.stats.wal_records > 0  # the WAL really was in play
     assert durable.version == plain.version
 
-    overhead = t_durable / t_plain - 1.0
+    overhead = float(np.median(ratios)) - 1.0
     emit(
         f"WAL overhead over {(n_chunks - 1) * chunk_len} steady-state "
         f"ops ({durable.stats.wal_records} logged mutations): in-memory "
-        f"{t_plain * 1e3:.1f} ms, durable {t_durable * 1e3:.1f} ms "
-        f"({overhead:+.1%})"
+        f"{t_plain * 1e3:.1f} ms, durable {t_durable * 1e3:.1f} ms; "
+        f"median per-chunk {overhead:+.1%} (chunks "
+        f"{', '.join(f'{r - 1:+.1%}' for r in ratios)})"
     )
     benchmark.extra_info["t_plain_ms"] = round(t_plain * 1e3, 1)
     benchmark.extra_info["t_durable_ms"] = round(t_durable * 1e3, 1)

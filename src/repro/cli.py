@@ -107,6 +107,44 @@ def _add_obs_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+def _add_engine_args(p: argparse.ArgumentParser) -> None:
+    """The engine set-up flags ``engine`` and ``serve`` share (read by
+    :func:`_open_engine`)."""
+    p.add_argument("--nodes", type=int, default=120)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--backend",
+        choices=("auto", "python", "scipy", "numpy"),
+        default="auto",
+    )
+    p.add_argument(
+        "--checkpoint-dir",
+        metavar="DIR",
+        default=None,
+        help="make the engine durable: write-ahead log every mutation "
+        "under DIR and cut periodic checkpoints",
+    )
+    p.add_argument(
+        "--recover",
+        action="store_true",
+        help="resume from --checkpoint-dir (checkpoint + WAL replay) "
+        "instead of building a fresh engine",
+    )
+    p.add_argument(
+        "--checkpoint-every",
+        type=int,
+        metavar="N",
+        default=None,
+        help="cut a checkpoint automatically every N logged updates",
+    )
+    p.add_argument(
+        "--fsync",
+        choices=("always", "interval", "never"),
+        default="interval",
+        help="WAL durability policy (default: interval)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse parser for the CLI."""
     parser = argparse.ArgumentParser(
@@ -240,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         "engine",
         help="replay a pricing workload through the caching engine",
     )
-    eng.add_argument("--nodes", type=int, default=120)
-    eng.add_argument("--seed", type=int, default=0)
+    _add_engine_args(eng)
     eng.add_argument(
         "--ops",
         type=int,
@@ -259,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="query destination (-1 = random target per query)",
-    )
-    eng.add_argument(
-        "--backend",
-        choices=("auto", "python", "scipy", "numpy"),
-        default="auto",
     )
     eng.add_argument(
         "--compare-naive",
@@ -300,32 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="keep the HTTP server up this long after the replay "
         "finishes (for a final scrape)",
     )
-    eng.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="make the engine durable: write-ahead log every mutation "
-        "under DIR and cut periodic checkpoints",
-    )
-    eng.add_argument(
-        "--recover",
-        action="store_true",
-        help="resume from --checkpoint-dir (checkpoint + WAL replay) "
-        "instead of building a fresh engine",
-    )
-    eng.add_argument(
-        "--checkpoint-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="cut a checkpoint automatically every N logged updates",
-    )
-    eng.add_argument(
-        "--fsync",
-        choices=("always", "interval", "never"),
-        default="interval",
-        help="WAL durability policy (default: interval)",
-    )
 
     rec = sub.add_parser(
         "recover",
@@ -342,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the concurrent HTTP pricing service",
     )
-    srv.add_argument("--nodes", type=int, default=120)
-    srv.add_argument("--seed", type=int, default=0)
+    _add_engine_args(srv)
     srv.add_argument(
         "--port",
         type=int,
@@ -373,42 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request deadline (exceeded = HTTP 504)",
     )
     srv.add_argument(
-        "--backend",
-        choices=("auto", "python", "scipy", "numpy"),
-        default="auto",
-    )
-    srv.add_argument(
         "--on-monopoly",
         choices=("raise", "inf"),
         default="inf",
         help="monopolized relays: record inf payments (default) or fail "
         "the request",
-    )
-    srv.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="make the engine durable: write-ahead log every mutation "
-        "under DIR and cut periodic checkpoints",
-    )
-    srv.add_argument(
-        "--recover",
-        action="store_true",
-        help="resume from --checkpoint-dir (checkpoint + WAL replay) "
-        "instead of building a fresh engine",
-    )
-    srv.add_argument(
-        "--checkpoint-every",
-        type=int,
-        metavar="N",
-        default=None,
-        help="cut a checkpoint automatically every N logged updates",
-    )
-    srv.add_argument(
-        "--fsync",
-        choices=("always", "interval", "never"),
-        default="interval",
-        help="WAL durability policy (default: interval)",
     )
     srv.add_argument(
         "--duration",
@@ -669,23 +643,16 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_economy(args) -> int:
-    from repro import generators
+    from repro import api, generators
     from repro.core.allpairs import TrafficMatrix, network_economy
     from repro.utils.tables import ascii_table
 
     g = generators.random_biconnected_graph(args.nodes, seed=args.seed)
     traffic = TrafficMatrix.uniform(g.n, intensity=args.intensity)
-    payments = None
-    if args.jobs not in (0, 1):
-        # Fan the pricing out over the engine's worker pool; aggregation
-        # below stays serial and bit-identical.
-        from repro import api
-
-        payments = api.price_all_pairs(
-            g,
-            pairs=[(i, j) for i, j, _ in traffic.pairs()],
-            jobs=args.jobs,
-        )
+    # Pricing fans out over --jobs workers; aggregation stays serial.
+    payments = api.price_all_pairs(
+        g, pairs=[(i, j) for i, j, _ in traffic.pairs()], jobs=args.jobs
+    )
     econ = network_economy(g, traffic, payments=payments)
     rows = [
         [e.node, round(e.packets_relayed), round(e.income, 2),
@@ -725,15 +692,12 @@ def _cmd_churn(args) -> int:
     return 0
 
 
-def _cmd_engine(args) -> int:
+def _open_engine(args, on_monopoly: str):
+    """The engine ``engine`` and ``serve`` run: recovered from
+    ``--checkpoint-dir`` under ``--recover``, else fresh on a random
+    ``--nodes``/``--seed`` graph priced with ``on_monopoly``."""
     from repro import generators
-    from repro.engine import (
-        PricingEngine,
-        generate_workload,
-        load_trace,
-        replay,
-        save_trace,
-    )
+    from repro.engine import PricingEngine
 
     if args.recover:
         if args.checkpoint_dir is None:
@@ -746,17 +710,27 @@ def _cmd_engine(args) -> int:
         )
         assert engine.last_recovery is not None
         print(engine.last_recovery.describe())
-        g = engine.graph
-    else:
-        g = generators.random_biconnected_graph(args.nodes, seed=args.seed)
-        engine = PricingEngine(
-            g,
-            backend=args.backend,
-            on_monopoly="inf",
-            checkpoint_dir=args.checkpoint_dir,
-            fsync=args.fsync,
-            checkpoint_every=args.checkpoint_every,
-        )
+        return engine
+    return PricingEngine(
+        generators.random_biconnected_graph(args.nodes, seed=args.seed),
+        backend=args.backend,
+        on_monopoly=on_monopoly,
+        checkpoint_dir=args.checkpoint_dir,
+        fsync=args.fsync,
+        checkpoint_every=args.checkpoint_every,
+    )
+
+
+def _cmd_engine(args) -> int:
+    from repro.engine import (
+        generate_workload,
+        load_trace,
+        replay,
+        save_trace,
+    )
+
+    engine = _open_engine(args, on_monopoly="inf")
+    g = engine.graph
     if args.trace is not None:
         ops = load_trace(args.trace)
         print(f"loaded {len(ops)} ops from {args.trace}")
@@ -844,8 +818,6 @@ def _cmd_serve(args) -> int:
     import signal
     import threading
 
-    from repro import generators
-    from repro.engine import PricingEngine
     from repro.errors import ReproError, error_code
     from repro.service import ChaosPlan, PricingService, ServiceServer
 
@@ -857,27 +829,7 @@ def _cmd_serve(args) -> int:
         print(f"error [{error_code(exc)}]: {exc}", file=sys.stderr)
         return 1
 
-    if args.recover:
-        if args.checkpoint_dir is None:
-            raise SystemExit("--recover requires --checkpoint-dir")
-        engine = PricingEngine.open(
-            args.checkpoint_dir,
-            backend=None if args.backend == "auto" else args.backend,
-            fsync=args.fsync,
-            checkpoint_every=args.checkpoint_every,
-        )
-        assert engine.last_recovery is not None
-        print(engine.last_recovery.describe())
-    else:
-        g = generators.random_biconnected_graph(args.nodes, seed=args.seed)
-        engine = PricingEngine(
-            g,
-            backend=args.backend,
-            on_monopoly=args.on_monopoly,
-            checkpoint_dir=args.checkpoint_dir,
-            fsync=args.fsync,
-            checkpoint_every=args.checkpoint_every,
-        )
+    engine = _open_engine(args, on_monopoly=args.on_monopoly)
 
     metrics_were_enabled = REGISTRY.enabled
     REGISTRY.enable()  # /metrics with nothing collected is useless

@@ -260,8 +260,8 @@ def network_economy(
     When ``payments`` is not supplied, the pairs are priced here through
     the batched :func:`pairwise_vcg_payments` path with the given
     ``backend``. Callers that want parallel pricing compute payments via
-    :func:`repro.api.price_all_pairs` (which fans out through the
-    engine) and pass them in.
+    :func:`repro.api.price_all_pairs` with ``jobs=`` (strided chunks of
+    this same batch on worker processes) and pass them in.
     """
     if traffic.n != g.n:
         raise InvalidGraphError(

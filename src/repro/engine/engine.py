@@ -52,9 +52,10 @@ log). Per logged update ``k: c_old -> c_new``:
   (the endpoint left, so the pair is now disconnected). Otherwise let
   ``B`` be the record's ``witnessed`` value. Path costs in the node model
   are *symmetric* (reversing a path keeps its internal nodes), so one
-  **witness tree** rooted at ``k`` — built once per logged update,
-  shared by every cached pair — supplies ``d_s[k] = d_k[s]`` and
-  ``d_t[k] = d_k[t]`` for all endpoints at once. It is built on a
+  **witness** ``dist`` array from ``k`` — solved once per logged update,
+  distances only, and shared by every cached pair — supplies
+  ``d_s[k] = d_k[s]`` and ``d_t[k] = d_k[t]`` for all endpoints at
+  once. It is solved on a
   snapshot where ``k`` has its edges: the one a cost update or a join
   produced, the one before a leave. These distances never include
   ``c_k`` (root cost) nor the endpoint's own cost, so they are valid on
@@ -66,7 +67,7 @@ log). Per logged update ``k: c_old -> c_new``:
   relay priced with ``on_monopoly="inf"``) never passes — conservative.
 
 Once its witness exists, a log entry drops its snapshot and keeps only
-``(node, old, new)`` and the tree. Link-model updates (arc weights and
+``(node, old, new)`` and the distances. Link-model updates (arc weights and
 topology) clear the log instead: the version bump lazily invalidates
 every pair, which is always sound. The log is capped (``_LOG_CAP``
 updates); pairs older than the cap fall back to a plain rebuild at next
@@ -87,15 +88,11 @@ Batching
 --------
 
 ``price_many`` funnels cache misses into
-:func:`~repro.core.allpairs.pairwise_vcg_payments`, sharing the
-engine's SPT cache. With ``jobs=N`` it instead splits the misses into
-at most ``N`` chunks and prices them on the persistent worker pool of
-:func:`repro.analysis.parallel.run_tasks`, each task carrying the
-graph by value — bit-identical to the serial path. Workers do not see
-or grow the SPT cache; the priced pairs still land in the pair cache.
-On a 2-vCPU host ``jobs=2`` prices the 500-node all-sources-to-AP
-batch in roughly half the serial time. Living in the engine package
-keeps the layering rule intact: ``core`` never imports ``analysis``.
+:func:`~repro.core.allpairs.pairwise_vcg_payments`, sharing and growing
+the engine's SPT cache, and stores every priced pair in the pair cache.
+It is serial: an offline batch that wants worker processes goes through
+:func:`repro.api.price_all_pairs` with ``jobs=N``, which needs no
+engine and no caches.
 
 Concurrency and snapshot isolation
 ----------------------------------
@@ -143,6 +140,7 @@ and corruption-fallback rules live in :mod:`repro.engine.persist`
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -161,8 +159,8 @@ from repro.core.mechanism import (
 )
 from repro.engine import persist as _persist_mod
 from repro.engine.sync import RWLock
-from repro.errors import EngineClosedError, ReproError
-from repro.graph.dijkstra import node_weighted_spt
+from repro.errors import EngineClosedError, InvalidRequestError, ReproError
+from repro.graph.dijkstra import node_weighted_dist, node_weighted_spt
 from repro.graph.link_graph import LinkWeightedDigraph
 from repro.graph.node_graph import NodeWeightedGraph
 from repro.graph.spt import ShortestPathTree
@@ -232,8 +230,8 @@ def _empty_payment(source: int, target: int, scheme: str) -> UnicastPayment:
 #: Node-model updates remembered for lazy pair fast-forwarding; pairs
 #: older than this fall back to a plain rebuild at next use. Memory
 #: bound per remembered update: its graph snapshot until the witness
-#: tree is built (that snapshot's tail-cost CSR is ~190 KB on a
-#: 500-node, 7,859-edge graph), then the witness tree alone.
+#: distances are solved (that snapshot's tail-cost CSR is ~190 KB on a
+#: 500-node, 7,859-edge graph), then one ``n``-float ``dist`` array.
 _LOG_CAP = 128
 
 
@@ -245,37 +243,16 @@ class _CostUpdate:
     A leave is ``c_k -> +inf`` and a join ``+inf -> c_n``, both with
     ``topology`` set. ``graph`` is a snapshot on which ``node`` has its
     edges (the one the update produced; for a leave, the one before
-    it); the witness tree rooted at ``node`` is built on it lazily, and
-    the snapshot is dropped once the witness exists.
+    it); the witness distances from ``node`` are solved on it lazily,
+    and the snapshot is dropped once the witness exists.
     """
 
     node: int
     old: float
     new: float
     graph: NodeWeightedGraph | None
-    witness: ShortestPathTree | None = None
+    witness: np.ndarray | None = None
     topology: bool = False
-
-
-def _price_node_chunk(graph, pairs, on_monopoly, backend):
-    """Worker task: price one chunk of pairs (node model).
-
-    Module-level so it pickles into :func:`repro.analysis.parallel`
-    worker processes; the graph travels with the task by value.
-    """
-    return pairwise_vcg_payments(
-        graph, pairs, on_monopoly=on_monopoly, backend=backend
-    )
-
-
-def _price_link_chunk(dg, pairs, on_monopoly, backend):
-    """Worker task: price one chunk of pairs (link model)."""
-    return {
-        (s, t): link_vcg_payments(
-            dg, s, t, on_monopoly=on_monopoly, backend=backend
-        )
-        for s, t in pairs
-    }
 
 
 class PricingEngine:
@@ -655,45 +632,33 @@ class PricingEngine:
         self._pairs[key] = (self._version, payment, float(witnessed))
 
     def price_many(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        jobs: int | None = None,
+        self, pairs: Iterable[tuple[int, int]]
     ) -> dict[tuple[int, int], UnicastPayment]:
         """Price a batch of ordered pairs; returns ``pair -> payment``.
 
         Cache hits are served directly; the remaining pairs funnel into
         the shared-SPT batch machinery
         (:func:`~repro.core.allpairs.pairwise_vcg_payments`), reusing —
-        and growing — this engine's SPT cache. ``jobs`` fans misses out
-        over worker processes (``-1`` = all cores; results are
-        bit-identical to the serial path, like every ``jobs=`` in this
-        repo). Worker processes cannot share the parent's caches, so
-        parallel batches trade cache growth for wall-clock time.
-        Thread-safe: the whole batch runs under one read-lock hold, so
-        every pair in the returned dict was priced at the same version.
+        and growing — this engine's SPT cache. Thread-safe: the whole
+        batch runs under one read-lock hold, so every pair in the
+        returned dict was priced at the same version.
         """
         with self._rw.read_locked():
             self._check_open()
-            return self._price_many_locked(pairs, jobs)
+            return self._price_many_locked(pairs)
 
     def price_many_versioned(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        jobs: int | None = None,
+        self, pairs: Iterable[tuple[int, int]]
     ) -> tuple[dict[tuple[int, int], UnicastPayment], int]:
         """Like :meth:`price_many`, returning ``(payments, version)``
         with the version pinned for the entire batch."""
         with self._rw.read_locked():
             self._check_open()
-            return self._price_many_locked(pairs, jobs), self._version
+            return self._price_many_locked(pairs), self._version
 
     def _price_many_locked(
-        self,
-        pairs: Iterable[tuple[int, int]],
-        jobs: int | None = None,
+        self, pairs: Iterable[tuple[int, int]]
     ) -> dict[tuple[int, int], UnicastPayment]:
-        from repro.analysis.parallel import resolve_jobs, run_tasks
-
         self._count("batches")
         scheme = "vcg" if self._model == "node" else "link-vcg"
         with request_scope() as rid:
@@ -718,36 +683,13 @@ class PricingEngine:
                 else:
                     todo.append(key)
             if todo:
-                n_jobs = resolve_jobs(jobs)
                 try:
                     with _tracer.span(
                         "engine.price_many",
                         pairs=len(out) + len(todo),
                         misses=len(todo),
                     ):
-                        if n_jobs == 1 or len(todo) == 1:
-                            out.update(self._price_batch_serial(todo))
-                        else:
-                            fn = (
-                                _price_node_chunk
-                                if self._model == "node"
-                                else _price_link_chunk
-                            )
-                            # One chunk per worker, each carrying the
-                            # graph by value (a 500-node graph pickles
-                            # to ~134 KB, well under the pricing time).
-                            tasks = [
-                                (
-                                    (self._graph, todo[i::n_jobs],
-                                     self._on_monopoly, self._backend),
-                                    {},
-                                )
-                                for i in range(min(n_jobs, len(todo)))
-                            ]
-                            for priced in run_tasks(fn, tasks, jobs=n_jobs):
-                                for key, payment in priced.items():
-                                    out[key] = payment
-                                    self._store(key, payment)
+                        out.update(self._price_batch_serial(todo))
                 except ReproError:
                     raise
                 except Exception as exc:
@@ -772,9 +714,16 @@ class PricingEngine:
         self, todo: Sequence[tuple[int, int]]
     ) -> dict[tuple[int, int], UnicastPayment]:
         if self._model == "link":
-            priced = _price_link_chunk(
-                self._graph, todo, self._on_monopoly, self._backend
-            )
+            priced = {
+                (s, t): link_vcg_payments(
+                    self._graph,
+                    s,
+                    t,
+                    on_monopoly=self._on_monopoly,
+                    backend=self._backend,
+                )
+                for s, t in todo
+            }
         else:
             # Share (and grow) the engine's endpoint-SPT cache.
             shared = dict(self._spts)
@@ -809,10 +758,13 @@ class PricingEngine:
         ``(u, v)`` arc (``inf`` drops it) and all caches are
         conservatively invalidated via the version bump.
 
-        A no-op change (same value) leaves version and caches untouched.
-        Thread-safe: serializes through the write lock; in-flight
-        queries finish against the old snapshot first, then the new
-        version is published atomically.
+        An address that does not fit the model (an arc for a node-model
+        engine, a node id for a link-model one) raises
+        :class:`~repro.errors.InvalidRequestError`. A no-op change (same
+        value) leaves version and caches untouched. Thread-safe:
+        serializes through the write lock; in-flight queries finish
+        against the old snapshot first, then the new version is
+        published atomically.
         """
         with self._rw.write_locked():
             self._check_open()
@@ -820,6 +772,11 @@ class PricingEngine:
 
     def _update_cost_locked(self, node_or_edge, value: float) -> int:
         if self._model == "link":
+            if isinstance(node_or_edge, numbers.Integral):
+                raise InvalidRequestError(
+                    f"a link-model update addresses an (u, v) arc, "
+                    f"got node {node_or_edge!r}"
+                )
             u, v = node_or_edge
             if self._graph.arc_weight(u, v) == float(value):
                 return self._version
@@ -834,7 +791,12 @@ class PricingEngine:
             self._update_gauges()
             return self._version
 
-        node = check_node_index(int(node_or_edge), self._graph.n)
+        if not isinstance(node_or_edge, numbers.Integral):
+            raise InvalidRequestError(
+                f"a node-model update addresses a node id, "
+                f"got {node_or_edge!r}"
+            )
+        node = check_node_index(node_or_edge, self._graph.n)
         old = float(self._graph.costs[node])
         value = float(value)
         if value == old:
@@ -865,12 +827,12 @@ class PricingEngine:
             self._log_floor = min(self._log)
             del self._log[self._log_floor]
 
-    def _witness_of(self, upd: _CostUpdate) -> ShortestPathTree:
-        """The update's witness tree (rooted at the updated node), built
-        on first use against the logged snapshot, which is then dropped:
-        the witness is all pair survival reads from it."""
+    def _witness_of(self, upd: _CostUpdate) -> np.ndarray:
+        """The update's witness distances (from the updated node),
+        solved on first use against the logged snapshot, which is then
+        dropped: pair survival reads nothing else from it."""
         if upd.witness is None:
-            upd.witness = node_weighted_spt(
+            upd.witness = node_weighted_dist(
                 upd.graph, upd.node, backend=spt_backend_for(self._backend)
             )
             upd.graph = None
@@ -885,14 +847,10 @@ class PricingEngine:
             # Endpoint costs never enter path costs or payments, but an
             # endpoint that left (or joined) changes the answer itself.
             return not upd.topology
-        witness = self._witness_of(upd)
-        # Node-model path costs are symmetric, so the witness tree's
-        # dist doubles as d_s[k] and d_t[k] for every cached endpoint.
-        bound = (
-            float(witness.dist[s])
-            + min(upd.old, upd.new)
-            + float(witness.dist[t])
-        )
+        dist = self._witness_of(upd)
+        # Node-model path costs are symmetric, so the witness distances
+        # double as d_s[k] and d_t[k] for every cached endpoint.
+        bound = float(dist[s]) + min(upd.old, upd.new) + float(dist[t])
         if not np.isfinite(witnessed):
             return False
         # Strict clearance with a relative margin. The bound is tight
@@ -956,7 +914,10 @@ class PricingEngine:
         as the cost update ``+inf -> cost`` that the pair certificate
         decides like any other. Link model: ``arcs`` are ``(u, v, w)``
         triples incident to the new node (id ``n``), and the version
-        bump lazily evicts every pair. Thread-safe (write lock).
+        bump lazily evicts every pair. Passing the other model's edges
+        (``arcs`` to a node-model engine, ``neighbors`` to a link-model
+        one) raises :class:`~repro.errors.InvalidRequestError`.
+        Thread-safe (write lock).
         """
         with self._rw.write_locked():
             self._check_open()
@@ -966,6 +927,15 @@ class PricingEngine:
         n = self._graph.n
         neighbors = list(neighbors)
         arcs = list(arcs)
+        # Refuse what this model would otherwise silently drop.
+        if self._model == "node" and arcs:
+            raise InvalidRequestError(
+                "a node-model node joins with neighbors=, not arcs="
+            )
+        if self._model == "link" and neighbors:
+            raise InvalidRequestError(
+                "a link-model node joins with arcs=, not neighbors="
+            )
         if self._model == "link":
             self._graph = LinkWeightedDigraph(
                 n + 1, list(self._graph.arc_iter()) + arcs

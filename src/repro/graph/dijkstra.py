@@ -57,6 +57,7 @@ from repro.utils.validation import check_node_index
 __all__ = [
     "node_weighted_spt",
     "node_weighted_spt_many",
+    "node_weighted_dist",
     "link_weighted_spt",
     "shortest_path_tree",
     "node_weighted_distance",
@@ -103,15 +104,12 @@ def _flush_python_counters(pushes: int, pops: int, relaxations: int) -> None:
         _metrics.add("dijkstra.edge_relaxations", relaxations)
 
 
-def _flush_scipy_counters(spt: ShortestPathTree) -> ShortestPathTree:
+def _flush_scipy_counters(dist: np.ndarray) -> None:
     """Record one compiled-backend run (no per-op counts are visible)."""
     if _metrics.enabled:
         _metrics.add("dijkstra.runs", 1)
         _metrics.add("dijkstra.scipy_runs", 1)
-        _metrics.add(
-            "dijkstra.settled_nodes", int(np.isfinite(spt.dist).sum())
-        )
-    return spt
+        _metrics.add("dijkstra.settled_nodes", int(np.isfinite(dist).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +220,24 @@ def _node_spt_python(
     return ShortestPathTree(root, dist, parent)
 
 
-def _node_spt_scipy(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
+def node_weighted_dist(
+    g: NodeWeightedGraph, root: int, backend: str = "auto"
+) -> np.ndarray:
+    """``node_weighted_spt(g, root, backend=backend).dist``, bit for bit,
+    without building the tree: the scipy solve skips predecessors and
+    the canonical-parent pass (``backend="python"`` still runs the heap
+    builder)."""
+    root = check_node_index(root, g.n)
+    if _check_backend(backend) == "python":
+        return _node_spt_python(g, root, None).dist
+    return _node_solve_scipy(g, root, predecessors=False)[0]
+
+
+def _node_solve_scipy(
+    g: NodeWeightedGraph, root: int, predecessors: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One scipy solve from ``root``: ``(dist, scipy predecessors or
+    None)``."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
 
@@ -240,20 +255,27 @@ def _node_spt_scipy(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
     patched = csr_matrix(
         (data, mat.indices, mat.indptr), shape=mat.shape, copy=False
     )
-    dist, pred = sp_dijkstra(
+    out = sp_dijkstra(
         patched,
         directed=True,
         indices=root,
-        return_predecessors=True,
+        return_predecessors=predecessors,
     )
+    dist, pred = out if predecessors else (out, None)
     # Clip the zero-cost nudges back to exact zeros, in place: scipy's
     # output is a fresh array and already +inf where unreachable.
     dist[dist < 1e-250] = 0.0
     dist[root] = 0.0
+    _flush_scipy_counters(dist)
+    return dist, pred
+
+
+def _node_spt_scipy(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
+    dist, pred = _node_solve_scipy(g, root, predecessors=True)
     parent = pred.astype(np.int64)
     parent[parent < 0] = -1
     _canonical_parents(g, root, dist, parent)
-    return _flush_scipy_counters(ShortestPathTree(root, dist, parent))
+    return ShortestPathTree(root, dist, parent)
 
 
 def node_weighted_spt_many(
@@ -375,7 +397,8 @@ def _node_spt_many_scipy(
         for i, s in enumerate(src.tolist()):
             dist, parent = dist_blk[i].copy(), parent_blk[i].copy()
             _canonical_parents(g, s, dist, parent)
-            out[s] = _flush_scipy_counters(ShortestPathTree(s, dist, parent))
+            _flush_scipy_counters(dist)
+            out[s] = ShortestPathTree(s, dist, parent)
     if _metrics.enabled:
         _metrics.add("dijkstra.batched_runs", 1)
         _metrics.add("dijkstra.batched_sources", len(roots))
@@ -485,7 +508,8 @@ def _link_spt_scipy(dg: LinkWeightedDigraph, root: int) -> ShortestPathTree:
     dist[dist < 1e-250] = 0.0
     parent = pred.astype(np.int64)
     parent[parent < 0] = -1
-    return _flush_scipy_counters(ShortestPathTree(root, dist, parent))
+    _flush_scipy_counters(dist)
+    return ShortestPathTree(root, dist, parent)
 
 
 def link_weighted_distance(

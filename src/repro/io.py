@@ -42,8 +42,8 @@ whose ``schema_version`` is not exactly ``1`` is refused with
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -287,16 +287,18 @@ def node_id(value, name: str) -> int:
 
 
 def deadline_budget(value, name: str = "deadline_s") -> float:
-    """``value`` as a deadline budget in seconds: finite and positive.
+    """``value`` as a deadline budget in seconds: finite and positive,
+    and no longer than a thread wait accepts (``threading.TIMEOUT_MAX``).
 
-    NaN and infinity raise :class:`~repro.errors.InvalidRequestError`
-    like zero and negative budgets do.
+    NaN, infinity and budgets past that bound raise
+    :class:`~repro.errors.InvalidRequestError` like zero and negative
+    budgets do.
     """
     budget = float(value)
-    if not (math.isfinite(budget) and budget > 0):
+    if not 0 < budget <= threading.TIMEOUT_MAX:  # NaN fails too
         raise InvalidRequestError(
             f"{name} must be a finite positive number of seconds, "
-            f"got {value!r}"
+            f"at most {threading.TIMEOUT_MAX:.0f}, got {value!r}"
         )
     return budget
 
@@ -661,12 +663,18 @@ def from_dict(payload: dict) -> Any:
     except (TypeError, KeyError) as exc:
         raise SerializationError(f"malformed payload: {exc}") from exc
     check_version(tag, version)
-    decoder = _DECODERS.get(tag)
+    # A JSON list or object is unhashable: test the type before the
+    # table lookup so it is refused like any other unknown tag.
+    decoder = _DECODERS.get(tag) if isinstance(tag, str) else None
     if decoder is None:
         raise SerializationError(f"unknown format tag {tag!r}")
+    if not isinstance(data, dict):
+        raise SerializationError(
+            f"{tag} data must be an object, got {type(data).__name__}"
+        )
     try:
         return decoder(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ReproError):
             # Already typed (e.g. InvalidRequestError from an envelope's
             # own validation) — keep the precise code, don't relabel it

@@ -136,7 +136,7 @@ class PricingService:
     Every request, batches included, is priced in-process on the worker
     thread that drains its ticket: the service never fans out over
     worker processes. Callers that want process fan-out for one large
-    batch use :meth:`PricingEngine.price_many` with ``jobs=`` directly.
+    offline batch use :func:`repro.api.price_all_pairs` with ``jobs=``.
 
     Parameters
     ----------

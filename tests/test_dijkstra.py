@@ -11,6 +11,7 @@ from repro.graph import generators as gen
 from repro.graph.dijkstra import (
     link_weighted_distance,
     link_weighted_spt,
+    node_weighted_dist,
     node_weighted_distance,
     node_weighted_spt,
     node_weighted_spt_many,
@@ -392,6 +393,17 @@ class TestCanonicalTrees:
             assert py.dist.tobytes() == sp.dist.tobytes(), root
             assert np.array_equal(py.parent, sp.parent), root
             assert np.array_equal(py.parent, many[root].parent), root
+
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    def test_dist_only_solve_matches_the_tree(self, backend):
+        # The engine's update witnesses read ``dist`` alone; the
+        # predecessor-free solve must give the tree's floats bit for bit,
+        # disconnected nodes (a removed node) included.
+        g = gen.random_biconnected_graph(60, seed=4).without_node(7)
+        for root in range(g.n):
+            want = node_weighted_spt(g, root, backend=backend).dist
+            got = node_weighted_dist(g, root, backend=backend)
+            assert got.tobytes() == want.tobytes(), root
 
     def test_parent_is_smallest_tight_neighbour(self):
         # Diamond 0-{1,2}-3: both relays cost 1, so 3 ties between them.

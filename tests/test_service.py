@@ -17,11 +17,14 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import io as repro_io
 from repro.engine import PricingEngine, RWLock
 from repro.engine.oracle import answer_key, verify
 from repro.errors import (
+    HTTP_STATUS,
     DeadlineExceededError,
     EngineClosedError,
     InvalidRequestError,
@@ -781,6 +784,37 @@ class TestHTTP:
         assert http_server.service.engine.version == 0
         assert http_server.service.stats.requests == 0
 
+    @pytest.mark.parametrize("path", ["/v1/price", "/v1/price_many",
+                                      "/v1/update"])
+    @pytest.mark.parametrize("tag", [["x"], {"a": 1}], ids=["list", "dict"])
+    def test_unhashable_format_tag_maps_to_400(self, http_server, path, tag):
+        doc = {"format": tag, "schema_version": 1, "data": {}}
+        status, err_doc = _post_raw(
+            f"{http_server.url}{path}", json.dumps(doc).encode()
+        )
+        assert status == 400
+        assert repro_io.from_wire(err_doc).code == "io.serialization"
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"op": "cost", "edge": [1, 2], "value": 2},
+            {"op": "add_node", "arcs": [[0, 28, 1.0]]},
+        ],
+        ids=["edge-cost", "add-node-arcs"],
+    )
+    def test_link_model_update_on_node_model_maps_to_400(
+        self, http_server, data
+    ):
+        doc = {"format": "update-request", "schema_version": 1, "data": data}
+        status, err_doc = _post_raw(
+            f"{http_server.url}/v1/update", json.dumps(doc).encode()
+        )
+        assert status == 400
+        assert repro_io.from_wire(err_doc).code == "request.invalid"
+        assert http_server.service.engine.version == 0
+        assert http_server.service.engine.n == 28
+
     def test_unknown_path_404_lists_endpoints(self, http_server):
         try:
             urllib.request.urlopen(f"{http_server.url}/v9/nope", timeout=10)
@@ -789,6 +823,82 @@ class TestHTTP:
             assert err.code == 404
             doc = json.load(err)
             assert "endpoints" in doc
+
+
+_WIRE_TAGS = {
+    "/v1/price": "price-request",
+    "/v1/price_many": "price-many-request",
+    "/v1/update": "update-request",
+}
+#: Scalars that break decoders: huge and negative ints, NaN/inf strings,
+#: floats, bools, null — mixed with plausible node ids so some requests
+#: get past the decoder into the service and the engine.
+_wire_scalar = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.sampled_from([10**30, -(10**30), 10**400, 2**63, -1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["NaN", "nan", "inf", "-inf", "x", ""]),
+)
+_wire_value = st.recursive(
+    _wire_scalar,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_wire_fields = {
+    "/v1/price": ("source", "target", "deadline_s"),
+    "/v1/price_many": ("pairs", "deadline_s"),
+    "/v1/update": ("node", "value", "edge", "cost", "neighbors", "arcs"),
+}
+
+
+@st.composite
+def _wire_envelopes(draw, path):
+    data = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={f: _wire_value for f in _wire_fields[path]},
+        )
+    )
+    if path == "/v1/update":
+        data["op"] = draw(
+            st.sampled_from(["cost", "add_node", "remove_node"])
+            | _wire_value
+        )
+    return {
+        "format": draw(st.just(_WIRE_TAGS[path]) | _wire_value),
+        "schema_version": draw(st.just(1) | _wire_value),
+        "data": draw(st.just(data) | _wire_value),
+    }
+
+
+class TestWireFuzz:
+    """Random JSON in every envelope field of every POST route: the
+    server answers each with a typed 4xx (or a 2xx), never a 5xx."""
+
+    @pytest.mark.parametrize("path", sorted(_WIRE_TAGS))
+    @settings(
+        max_examples=120,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_malformed_envelopes_never_5xx(self, http_server, path, data):
+        doc = data.draw(_wire_envelopes(path))
+        status, reply = _post_raw(
+            f"{http_server.url}{path}", json.dumps(doc).encode()
+        )
+        if status == 504:
+            # A tiny but valid budget can expire on the queue: that is
+            # the deadline contract, not a decoding failure.
+            budget = doc["data"].get("deadline_s")
+            assert isinstance(budget, float) and 0 < budget < 1, doc
+            return
+        assert status < 500, (doc, reply)
+        if status >= 400:
+            err = repro_io.from_wire(reply)
+            assert err.code in HTTP_STATUS and err.code != "internal", doc
 
 
 class TestRetryAfter:
