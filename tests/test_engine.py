@@ -416,6 +416,24 @@ class TestPriceMany:
         assert set(out) == {(5, 0), (6, 0)}
         assert eng.stats.cache_misses == 2
 
+    @pytest.mark.parametrize(
+        "make_graph",
+        [lambda: gen.random_biconnected_graph(40, seed=5)],
+        ids=["node"],
+    )
+    def test_jobs_parallel_bit_identical(self, make_graph):
+        """The process fan-out (api.price_all_pairs with jobs=2) prices
+        bit-identically to the engine's serial batch path."""
+        from repro import api
+
+        g = make_graph()
+        pairs = [(i, 0) for i in range(1, g.n)]
+        serial = PricingEngine(g, on_monopoly="inf").price_many(pairs)
+        par = api.price_all_pairs(g, pairs, jobs=2)
+        assert serial.keys() == par.keys()
+        for key in pairs:
+            assert answer_key(serial[key]) == answer_key(par[key])
+
 
 class TestLinkModel:
     @given(robust_digraphs(max_nodes=12))
