@@ -2,13 +2,13 @@
 
 The paper: "the price entries decrease monotonically and converge to
 stable values after finite number of rounds (at most n rounds)". The
-bench measures rounds and transmissions as n grows and spot-checks the
-converged payments against the centralized mechanism.
+bench measures rounds and transmissions as n grows and checks every
+source's converged payments against the centralized all-sources batch.
 """
 
 import pytest
 
-from repro.core.vcg_unicast import vcg_unicast_payments
+from repro.core.all_sources import price_sources
 from repro.distributed.payment_protocol import run_distributed_payments
 from repro.graph import generators as gen
 
@@ -44,11 +44,12 @@ def test_convergence_scaling(benchmark, scale):
         rows.append(
             (n, res.stats.rounds, res.stats.broadcasts, res.stats.unicasts)
         )
-        # converged payments equal the centralized mechanism's
-        i = n // 2
-        cent = vcg_unicast_payments(g, i, 0, method="fast", on_monopoly="inf")
-        for k in cent.relays:
-            assert res.payment(i, k) == pytest.approx(cent.payment(k), abs=1e-7)
+        # every source's converged payments equal the centralized
+        # all-sources batch, which computes the same III.C fixed point
+        cent = price_sources(g, 0, range(1, n), on_monopoly="inf")
+        for i, p in cent.items():
+            for k in p.relays:
+                assert res.payment(i, k) == pytest.approx(p.payment(k), abs=1e-7)
     emit(
         "distributed two-stage protocol\n"
         + "\n".join(

@@ -57,7 +57,9 @@ def main() -> None:
     )
 
     # Step 2: levels.
-    print("\nstep 2 — levels (index of the last path node on the tree path):")
+    # The library reads the LCP from SPT(target) and runs the steps
+    # rooted there; ``levels`` is re-indexed from the source.
+    print("\nstep 2 — levels (the path node where the SPT(target) path joins P):")
     levels = result.levels
     by_level: dict[int, list[int]] = {}
     for v in range(g.n):

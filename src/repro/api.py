@@ -184,24 +184,21 @@ def price_all_pairs(
     root: int = 0,
     backend: str = "auto",
     on_monopoly: str = "inf",
-    jobs: int | None = None,
 ) -> Mapping[tuple[int, int], UnicastPayment] | LinkPaymentTable:
     """Batch pricing: many pairs at once, shared work across requests.
 
-    Node model: returns ``{(source, target) -> UnicastPayment}`` via the
-    shared-SPT batch engine
-    (:func:`repro.core.allpairs.pairwise_vcg_payments`); ``pairs=None``
-    prices every node toward ``root`` (the paper's access-point
-    scenario). ``jobs`` splits the batch into that many strided chunks
-    priced on worker processes (``-1`` = all cores); every chunk runs
-    the same function as ``jobs=1``, so the answers are bit-identical
-    and come back in request order, duplicates priced once.
+    Node model: returns ``{(source, target) -> UnicastPayment}`` in
+    request order, duplicates priced once, via
+    :func:`repro.core.allpairs.pairwise_vcg_payments`: the sources of a
+    shared target go through the all-sources batch (``SPT(target)`` and
+    one Dijkstra per tree depth), other pairs through Algorithm 1.
+    ``pairs=None`` prices every node toward ``root`` (the paper's
+    access-point scenario).
 
     Link model: returns a
     :class:`~repro.core.link_vcg.LinkPaymentTable` of every source
     toward ``root`` via one reverse Dijkstra per interior routing-tree
-    node (``pairs``/``jobs`` do not apply and must be left at their
-    defaults).
+    node (``pairs`` does not apply and must be left at its default).
 
     ``on_monopoly`` defaults to ``"inf"`` here (batches report
     monopolized sources instead of dying on the first one) — the
@@ -211,12 +208,12 @@ def price_all_pairs(
     resolve_monopoly_policy(on_monopoly)
     with request_scope() as rid:
         if isinstance(graph, LinkWeightedDigraph):
-            if pairs is not None or jobs not in (None, 0, 1):
+            if pairs is not None:
                 from repro.errors import InvalidRequestError
 
                 raise InvalidRequestError(
                     "link-model batches price all sources toward `root`; "
-                    "pairs=/jobs= are node-model options"
+                    "pairs= is a node-model option"
                 )
             from repro.core.link_vcg import all_sources_link_payments
 
@@ -230,36 +227,17 @@ def price_all_pairs(
             )
             return result
         _require_model(graph, NodeWeightedGraph, "price_all_pairs")
-        from repro.analysis.parallel import resolve_jobs, run_tasks
         from repro.core.allpairs import pairwise_vcg_payments
-        from repro.utils.validation import check_node_index
 
         if pairs is None:
             pairs = [(i, root) for i in range(graph.n) if i != root]
-        # Validated and de-duplicated up front, so the answer keeps the
-        # request order whichever chunk priced each pair.
-        pairs = list(
-            dict.fromkeys(
-                (check_node_index(s, graph.n), check_node_index(t, graph.n))
-                for s, t in pairs
+        with _tracer.span("api.price_all_pairs"):
+            result = pairwise_vcg_payments(
+                graph, pairs, on_monopoly=on_monopoly, backend=backend
             )
-        )
-        n = min(resolve_jobs(jobs), max(1, len(pairs)))
-        kw = {"on_monopoly": on_monopoly, "backend": backend}
-        with _tracer.span("api.price_all_pairs", pairs=len(pairs)):
-            # One strided chunk per worker, the graph travelling by value
-            # (~134 KB pickled at 500 nodes); n = 1 runs inline.
-            priced: dict[tuple[int, int], UnicastPayment] = {}
-            for chunk in run_tasks(
-                pairwise_vcg_payments,
-                [((graph, pairs[i::n]), kw) for i in range(n)],
-                jobs=n,
-            ):
-                priced.update(chunk)
-            result = {key: priced[key] for key in pairs}
         _log.debug(
             "batch priced",
-            extra={"request_id": rid, "pairs": len(pairs)},
+            extra={"request_id": rid, "pairs": len(result)},
         )
         return result
 

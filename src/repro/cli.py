@@ -258,13 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     econ.add_argument("--nodes", type=int, default=20)
     econ.add_argument("--seed", type=int, default=0)
     econ.add_argument("--intensity", type=float, default=1.0)
-    econ.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for pricing (-1 = all cores; results are "
-        "bit-identical to --jobs 1)",
-    )
 
     churn = sub.add_parser(
         "churn", help="pricing churn under mobility (extension experiment)"
@@ -649,9 +642,8 @@ def _cmd_economy(args) -> int:
 
     g = generators.random_biconnected_graph(args.nodes, seed=args.seed)
     traffic = TrafficMatrix.uniform(g.n, intensity=args.intensity)
-    # Pricing fans out over --jobs workers; aggregation stays serial.
     payments = api.price_all_pairs(
-        g, pairs=[(i, j) for i, j, _ in traffic.pairs()], jobs=args.jobs
+        g, pairs=[(i, j) for i, j, _ in traffic.pairs()]
     )
     econ = network_economy(g, traffic, payments=payments)
     rows = [

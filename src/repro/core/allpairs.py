@@ -5,8 +5,9 @@ The body of the paper fixes the destination to the access point, noting
 pair" and that the Nisan-Ronen result "can be easily extended to deal
 with all-to-all traffics". This module does both:
 
-* :func:`pairwise_vcg_payments` — price any set of ordered pairs with
-  Algorithm 1 (one O(n log n + m) pass per distinct source);
+* :func:`pairwise_vcg_payments` — price any set of ordered pairs: one
+  all-sources pass (:mod:`repro.core.all_sources`) per target that many
+  sources share, Algorithm 1 per pair otherwise;
 * :class:`TrafficMatrix` — per-pair traffic intensities ``T[i, j]``
   (Feigenbaum et al.'s model, quoted in II.D);
 * :func:`network_economy` — aggregate the per-packet payments over a
@@ -23,9 +24,10 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.core.all_sources import price_sources
 from repro.core.fast_payment import fast_vcg_payments
-from repro.core.mechanism import UnicastPayment, spt_backend_for
-from repro.errors import InvalidGraphError
+from repro.core.mechanism import UnicastPayment, resolve_backend, spt_backend_for
+from repro.errors import InvalidGraphError, ReproError
 from repro.graph.dijkstra import (
     ShortestPathTree,
     node_weighted_spt,
@@ -37,11 +39,51 @@ from repro.utils.validation import check_node_index
 
 __all__ = [
     "pairwise_vcg_payments",
+    "spt_roots",
+    "BATCH_MIN_SOURCES",
     "TrafficMatrix",
     "NodeEconomy",
     "NetworkEconomy",
     "network_economy",
 ]
+
+
+#: The smallest number of distinct sources sharing one target for which
+#: :func:`pairwise_vcg_payments` prices them through the all-sources
+#: batch instead of per-pair Algorithm 1 (``auto``/``scipy`` backends).
+#: Measured on the 500-node service instance (see ``docs/engine.md``).
+BATCH_MIN_SOURCES = 2
+
+
+def _batch_groups(
+    pairs: Iterable[tuple[int, int]], backend: str
+) -> dict[int, list[int]]:
+    """``target -> distinct sources in request order`` for the targets
+    whose pairs take the all-sources batch: under ``auto``/``scipy``,
+    those shared by at least :data:`BATCH_MIN_SOURCES` sources.
+    ``python`` and ``numpy`` keep per-pair Algorithm 1, the
+    comparators."""
+    if resolve_backend(backend) not in ("auto", "scipy"):
+        return {}
+    groups: dict[int, dict[int, None]] = {}
+    for i, j in pairs:
+        groups.setdefault(j, {})[i] = None
+    return {
+        j: list(group)
+        for j, group in groups.items()
+        if len(group) >= BATCH_MIN_SOURCES
+    }
+
+
+def spt_roots(
+    pairs: Iterable[tuple[int, int]], backend: str = "auto"
+) -> set[int]:
+    """The endpoint trees :func:`pairwise_vcg_payments` reads to price
+    ``pairs``: the target's alone for a batched target, both endpoints'
+    for a pair priced by Algorithm 1."""
+    pairs = list(pairs)
+    batched = _batch_groups(pairs, backend)
+    return {x for i, j in pairs for x in ((j,) if j in batched else (i, j))}
 
 
 def pairwise_vcg_payments(
@@ -53,19 +95,25 @@ def pairwise_vcg_payments(
 ) -> dict[tuple[int, int], UnicastPayment]:
     """VCG payments for arbitrary ordered source-target pairs.
 
-    Results are computed with Algorithm 1, memoized per pair, and —
-    crucially for batch workloads — the shortest path tree of every
-    distinct *endpoint* is built once and shared across all pairs that
-    touch it (an SPT rooted at ``x`` serves both roles, because paths
-    are undirected). Pricing ``k`` pairs over ``e`` distinct endpoints
-    therefore costs ``e`` Dijkstras plus ``k`` linear-time Algorithm-1
-    passes: one O(n log n + m) pass per distinct endpoint, not per pair.
+    Pairs are grouped by target. Under ``backend="auto"``/``"scipy"`` a
+    target shared by at least :data:`BATCH_MIN_SOURCES` distinct sources
+    prices its whole group in one pass of
+    :func:`repro.core.all_sources.price_sources`: ``SPT(target)`` plus
+    one Dijkstra per tree depth, no source tree. Every other pair, and
+    every pair under ``"python"``/``"numpy"``, runs Algorithm 1 over the
+    trees of both endpoints, each built once (in one batched solve) and
+    shared by every pair that touches it. Either way the answer is the
+    same bit for bit (canonical trees and canonical sums).
+
+    Errors surface as the first failing pair in request order raises
+    them, whichever way it was priced.
 
     ``spt_cache`` lets a long-lived caller (the
     :class:`~repro.engine.PricingEngine`) share its endpoint SPT cache:
     pre-populated entries are reused, missing roots are built here and
     left in the mapping for the caller to keep. The trees must belong to
-    *this* graph and the caller's ``backend``.
+    *this* graph and the caller's ``backend``. :func:`spt_roots` names
+    the roots a call reads.
 
     In the node-cost model the payment is direction-symmetric (the path
     cost counts internal nodes only), but both orientations are priced
@@ -84,33 +132,51 @@ def pairwise_vcg_payments(
                 _metrics.add("allpairs.spt_builds", 1)
         return spt
 
-    # Pre-build every distinct endpoint's SPT not already in the cache in
-    # one batched multi-source solve (one compiled call per block of 32
-    # endpoints instead of one Python round-trip per endpoint, with
-    # bounded transient memory; bit-identical per-source trees).
     pair_list = [
         (check_node_index(i, g.n), check_node_index(j, g.n))
         for i, j in pairs
     ]
-    missing = {x for ij in pair_list for x in ij if x not in spts}
+    batched = _batch_groups(pair_list, backend)
+    # Pre-build every tree Algorithm 1 will read and the cache lacks in
+    # one batched multi-source solve (one compiled call per block of 32
+    # endpoints, bounded transient memory, bit-identical trees).
+    missing = {
+        x
+        for i, j in pair_list
+        if j not in batched
+        for x in (i, j)
+        if x not in spts
+    }
     if len(missing) > 1:
         built = node_weighted_spt_many(g, sorted(missing), backend=spt_backend)
         spts.update(built)
         if _metrics.enabled:
             _metrics.add("allpairs.spt_builds", len(built))
 
+    groups: dict[int, dict[int, UnicastPayment | ReproError]] = {}
     for i, j in pair_list:
         if (i, j) in out:
             continue
-        out[(i, j)] = fast_vcg_payments(
-            g,
-            i,
-            j,
-            on_monopoly=on_monopoly,
-            backend=backend,
-            spt_source=spt_of(i),
-            spt_target=spt_of(j),
-        ).to_unicast_payment()
+        if j in batched:
+            group = groups.get(j)
+            if group is None:
+                group = groups[j] = price_sources(
+                    g, j, batched[j], on_monopoly, spt=spt_of(j)
+                )
+            outcome = group[i]
+            if isinstance(outcome, ReproError):
+                raise outcome
+            out[(i, j)] = outcome
+        else:
+            out[(i, j)] = fast_vcg_payments(
+                g,
+                i,
+                j,
+                on_monopoly=on_monopoly,
+                backend=backend,
+                spt_source=spt_of(i),
+                spt_target=spt_of(j),
+            ).to_unicast_payment()
         if _metrics.enabled:
             _metrics.add("allpairs.pairs_priced", 1)
     return out
@@ -258,10 +324,7 @@ def network_economy(
     cannot be priced and would be refused.
 
     When ``payments`` is not supplied, the pairs are priced here through
-    the batched :func:`pairwise_vcg_payments` path with the given
-    ``backend``. Callers that want parallel pricing compute payments via
-    :func:`repro.api.price_all_pairs` with ``jobs=`` (strided chunks of
-    this same batch on worker processes) and pass them in.
+    :func:`pairwise_vcg_payments` with the given ``backend``.
     """
     if traffic.n != g.n:
         raise InvalidGraphError(

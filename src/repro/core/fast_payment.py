@@ -37,6 +37,29 @@ Cost accounting: ``L~(u) = L(u) + c_u`` (0 for the source) and
 ``R~(v) = R(v) + c_v`` (0 for the target), so ``L~(u) + R~(v)`` is exactly
 the internal-node cost of the spliced path.
 
+Orientation and canonical sums
+------------------------------
+
+Every node-model method reads the LCP from ``SPT(v_j)``, the tree the
+target shares with all its sources (and the one stage 1 of the
+distributed protocol builds), so the steps above run with the roles of
+the endpoints swapped: the levels come from ``SPT(v_j)``. Node-model
+path costs are symmetric, so the avoiding costs of the reversed path
+are the ones asked for; ``FastPaymentResult.levels`` is re-indexed
+source first.
+
+The float minima of steps 3-6 only choose each relay's avoiding path,
+its *witness*: a crossing edge ``(u, v)`` stands for the tree path to
+``u`` then the tree path from ``v``; a region minimum for the tree path
+to its closing neighbour ``u``, the region nodes back along the region
+Dijkstra's predecessors, that region's exit ``y`` and ``y``'s tree path.
+``||P||`` and every ``||P_{-r_l}||`` are reported as
+:func:`~repro.core.mechanism.canonical_cost` (``math.fsum``) over the
+internal nodes of their path, and every payment as
+``||P_{-r_l}|| - ||P|| + c_{r_l}``. The naive method and the
+all-sources batch (:mod:`repro.core.all_sources`) report the same sums
+over the same paths, so all three agree bit for bit.
+
 Correctness is property-tested against the naive oracle on thousands of
 random biconnected graphs (``tests/test_fast_payment.py``).
 
@@ -46,19 +69,26 @@ Kernels and backends
 The steps above exist in two implementations selected by ``backend``,
 following the same convention as :mod:`repro.graph.dijkstra`:
 
-* ``backend="python"`` — per-node/per-edge Python loops. The reference
-  the property tests treat as the oracle.
+* ``backend="python"`` — per-node/per-edge Python loops and one heap
+  Dijkstra per region. The reference the property tests treat as the
+  oracle.
 * any other backend (``"auto"``, ``"scipy"``, ``"numpy"``) — the step-2
   region bucketing, the step-5 crossing-edge table and the step-3/4
   boundary/closing scans run as whole-array numpy expressions over the
   CSR adjacency (``arc_sources()``/``indices`` expansion plus ``levels``
-  fancy indexing). ``"numpy"`` additionally forces the pure-Python SPT
-  builder, which makes it the apples-to-apples vectorized counterpart of
-  ``"python"`` in kernel benchmarks and exact-agreement tests.
+  fancy indexing), and every region's Dijkstra runs in one scipy call.
+  ``"numpy"`` additionally forces the pure-Python SPT builder, which
+  makes it the apples-to-apples vectorized counterpart of ``"python"``
+  in kernel benchmarks and exact-agreement tests.
 
-Both produce bit-identical payments: every scalar reduction the numpy
-kernels replace is a min/filter whose IEEE-754 result does not depend on
-evaluation order.
+This module prices one pair. :func:`repro.core.allpairs.pairwise_vcg_payments`
+sends the sources of a shared target to the all-sources batch under
+``"auto"``/``"scipy"`` instead; ``"python"`` and ``"numpy"`` keep
+Algorithm 1 for every pair, as the comparators.
+
+Both kernels produce bit-identical answers: the minima they compute do
+not depend on evaluation order, ties pick the first candidate in the
+same order, and the reported values are canonical sums.
 """
 
 from __future__ import annotations
@@ -71,6 +101,7 @@ import numpy as np
 
 from repro.core.mechanism import (
     UnicastPayment,
+    canonical_cost,
     resolve_backend,
     resolve_monopoly_policy,
     spt_backend_for,
@@ -103,9 +134,11 @@ class FastPaymentResult:
     payments:
         ``r_l -> p_i^{r_l}`` per step 6.
     levels:
-        The step-2 level of every node (-1 for nodes unreachable from the
-        source). Exposed because the distributed protocol and the tests
-        reuse it.
+        The step-2 level of every node, indexed along ``path`` from the
+        source: ``l`` for ``r_l``, and for any other node the index of
+        the path node where its ``SPT(v_j)`` tree path to the target
+        joins ``P`` (-1 for nodes unreachable from the target). Exposed
+        for study and for the tests.
     stats:
         Operation counts (heap pushes, region sizes) backing the
         complexity claims in the benchmark write-up.
@@ -213,6 +246,11 @@ def _fast_vcg_payments_impl(
     vectorized = backend != "python"
     spt_backend = spt_backend_for(backend)
     # Steps 1-2: the two shortest path trees, the LCP, and the levels.
+    # The LCP is read from SPT(v_j), so every source of one target routes
+    # along that target's tree (the tree stage 1 of the distributed
+    # protocol builds). The steps then run rooted at v_j: node-model path
+    # costs are symmetric, so the avoiding costs of the reversed path are
+    # the ones asked for. ``kpath`` is the path in that orientation.
     with _tracer.span("fast_payment.spt_build"):
         if spt_i is None:
             spt_i = node_weighted_spt(g, source, backend=spt_backend)
@@ -220,18 +258,20 @@ def _fast_vcg_payments_impl(
             raise DisconnectedError(source, target)
         if spt_j is None:
             spt_j = node_weighted_spt(g, target, backend=spt_backend)
-        path = spt_i.path_from_root(target)
+        path = spt_j.path_to_root(source)
+        kpath = path[::-1]
         s = len(path) - 1
-        lcp_cost = float(spt_i.dist[target])
-
         costs = g.costs
-        l_til = spt_i.dist + costs  # L~(u); source fixed below
-        l_til[source] = 0.0
-        r_til = spt_j.dist + costs  # R~(v); target fixed below
-        r_til[target] = 0.0
+        lcp_cost = canonical_cost(costs, path[1:-1])
 
-        # Step 2: levels (branch labels along P in SPT(v_i)).
-        levels = spt_i.branch_labels(path)
+        l_til = spt_j.dist + costs  # L~(u); the kernel's root fixed below
+        l_til[target] = 0.0
+        r_til = spt_i.dist + costs  # R~(v); the kernel's sink fixed below
+        r_til[source] = 0.0
+
+        # Step 2: levels (branch labels along the path in SPT(v_j)).
+        klevels = spt_j.branch_labels(kpath)
+        levels = np.where(klevels >= 0, s - klevels, -1)
 
     if s <= 1:  # direct edge: nothing to pay
         return FastPaymentResult(
@@ -239,26 +279,24 @@ def _fast_vcg_payments_impl(
         )
 
     # Steps 3-5 setup: regions and the crossing-edge table. Both kernels
-    # produce ``c_minus`` plus the crossing-edge stream ``(starts,
-    # values, expiries)`` sorted by entry level, consumed by the sweep.
+    # produce ``c_minus`` with a witness per level plus the crossing-edge
+    # stream ``(starts, values, expiries, us, vs)`` sorted by entry
+    # level, consumed by the sweep.
     with _tracer.span("fast_payment.table_sweep"):
         on_path = np.zeros(g.n, dtype=bool)
         on_path[np.asarray(path, dtype=np.int64)] = True
 
         if vectorized:
-            c_minus, region_total, n_regions = _regions_numpy(
-                g, levels, on_path, s, l_til, r_til
+            c_minus, region_wit, region_total, n_regions = _regions_numpy(
+                g, klevels, on_path, s, l_til, r_til
             )
-            starts, values, expiries = _crossing_edges_numpy(
-                g, levels, l_til, r_til
-            )
+            stream = _crossing_edges_numpy(g, klevels, l_til, r_til)
         else:
-            c_minus, region_total, n_regions = _regions_python(
-                g, levels, on_path, s, l_til, r_til
+            c_minus, region_wit, region_total, n_regions = _regions_python(
+                g, klevels, on_path, s, l_til, r_til
             )
-            starts, values, expiries = _crossing_edges_python(
-                g, levels, l_til, r_til
-            )
+            stream = _crossing_edges_python(g, klevels, l_til, r_til)
+        starts, values, expiries, us, vs = stream
         heap_edges = len(starts)
 
     with _tracer.span("fast_payment.payment_assembly"):
@@ -266,26 +304,40 @@ def _fast_vcg_payments_impl(
         # every removal level l with lu < l < lv: it enters the sweep at
         # l = lu + 1 and expires once l >= lv.
         if vectorized:
-            crossing_best = _crossing_minima_numpy(
+            crossing_best, crossing_arg = _crossing_minima_numpy(
                 starts, values, expiries, s
             )
         else:
-            crossing_best = _crossing_minima_heap(
+            crossing_best, crossing_arg = _crossing_minima_heap(
                 starts, values, expiries, s
             )
+        # Step 6, relays in path order from the source. Each avoiding
+        # cost is reported as the canonical sum over its witness path.
+        parent_j = spt_j.parent
+        parent_i = spt_i.parent
         avoiding: dict[int, float] = {}
         payments: dict[int, float] = {}
-        for l in range(1, s):
-            avoid = min(float(crossing_best[l]), float(c_minus[l]))
-            r_l = path[l]
-            if not np.isfinite(avoid):
+        for fl in range(1, s):
+            l = s - fl
+            r_l = path[fl]
+            cross, region = float(crossing_best[l]), float(c_minus[l])
+            if not np.isfinite(min(cross, region)):
                 if on_monopoly == "raise":
                     raise MonopolyError(source, target, r_l)
                 avoiding[r_l] = float("inf")
                 payments[r_l] = float("inf")
                 continue
+            if cross <= region:
+                e = int(crossing_arg[l])
+                u, middle, v = int(us[e]), (), int(vs[e])
+            else:
+                u, middle, v = region_wit[l]
+            witness = _tree_chain(parent_j, u, target)
+            witness.extend(middle)
+            witness.extend(_tree_chain(parent_i, v, source))
+            avoid = canonical_cost(costs, witness)
             avoiding[r_l] = avoid
-            payments[r_l] = avoid - lcp_cost + float(costs[r_l])  # step 6
+            payments[r_l] = avoid - lcp_cost + float(costs[r_l])
 
     stats = {
         "path_hops": s,
@@ -309,6 +361,15 @@ def _fast_vcg_payments_impl(
     )
 
 
+def _tree_chain(parent: np.ndarray, x: int, root: int) -> list[int]:
+    """``x`` and its tree ancestors up to, not including, ``root``."""
+    chain = []
+    while x != root:
+        chain.append(x)
+        x = int(parent[x])
+    return chain
+
+
 # ---------------------------------------------------------------------------
 # Scalar (oracle) kernels
 # ---------------------------------------------------------------------------
@@ -321,9 +382,11 @@ def _regions_python(
     s: int,
     l_til: np.ndarray,
     r_til: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, dict[int, tuple], int, int]:
     """Steps 3-4 with per-node Python loops: bucket the off-path nodes by
-    level, then run one boundary Dijkstra per region."""
+    level, then run one boundary Dijkstra per region. Returns ``c_minus``,
+    the witness ``(u, region chain, y)`` of every finite entry (see
+    :func:`_region_candidate`), and the region counts."""
     region_nodes: dict[int, list[int]] = {}
     for x in range(g.n):
         lx = int(levels[x])
@@ -331,11 +394,16 @@ def _regions_python(
             region_nodes.setdefault(lx, []).append(x)
 
     c_minus = np.full(s, np.inf)  # c^{-l}, indexed by l (entries 1..s-1)
+    witnesses: dict[int, tuple] = {}
     region_total = 0
     for l, members in region_nodes.items():
         region_total += len(members)
-        c_minus[l] = _region_candidate(g, members, l, levels, l_til, r_til)
-    return c_minus, region_total, len(region_nodes)
+        c_minus[l], wit = _region_candidate(
+            g, members, l, levels, l_til, r_til
+        )
+        if wit is not None:
+            witnesses[l] = wit
+    return c_minus, witnesses, region_total, len(region_nodes)
 
 
 def _crossing_edges_python(
@@ -343,10 +411,11 @@ def _crossing_edges_python(
     levels: np.ndarray,
     l_til: np.ndarray,
     r_til: np.ndarray,
-) -> tuple[list[int], list[float], list[int]]:
+) -> tuple[list[int], list[float], list[int], list[int], list[int]]:
     """Step-5 table with a per-edge Python loop, as parallel lists
-    ``(entry level, L~(u) + R~(v), expiry level)`` sorted by entry level."""
-    by_start: dict[int, list[tuple[float, int]]] = {}
+    ``(entry level, L~(u) + R~(v), expiry level, u, v)`` sorted by entry
+    level, ``u`` the lower-level endpoint."""
+    by_start: dict[int, list[tuple[float, int, int, int]]] = {}
     for u, v in g.edge_iter():
         lu, lv = int(levels[u]), int(levels[v])
         if lu < 0 or lv < 0:
@@ -358,16 +427,16 @@ def _crossing_edges_python(
         value = float(l_til[u] + r_til[v])
         if not np.isfinite(value):
             continue
-        by_start.setdefault(lu + 1, []).append((value, lv))
-    starts: list[int] = []
-    values: list[float] = []
-    expiries: list[int] = []
-    for start in sorted(by_start):
-        for value, lv in by_start[start]:
-            starts.append(start)
-            values.append(value)
-            expiries.append(lv)
-    return starts, values, expiries
+        by_start.setdefault(lu + 1, []).append((value, lv, u, v))
+    rows = [
+        (start, value, lv, u, v)
+        for start in sorted(by_start)
+        for value, lv, u, v in by_start[start]
+    ]
+    if not rows:
+        return [], [], [], [], []
+    starts, values, expiries, us, vs = (list(col) for col in zip(*rows))
+    return starts, values, expiries, us, vs
 
 
 def _region_candidate(
@@ -377,7 +446,7 @@ def _region_candidate(
     levels: np.ndarray,
     l_til: np.ndarray,
     r_til: np.ndarray,
-) -> float:
+) -> tuple[float, tuple | None]:
     """Steps 3-4 for one level-``l`` region.
 
     Runs a Dijkstra over the region where the tentative value of a region
@@ -386,7 +455,12 @@ def _region_candidate(
     first higher-level neighbour, sound by Lemma 2) — and returns
 
         ``c^{-l} = min over region x, neighbours u with level(u) < l of
-        L~(u) + R~^{-l}(x)``.
+        L~(u) + R~^{-l}(x)``
+
+    with its witness ``(u, [x, ..., x0], y)``: the closing neighbour,
+    the region nodes from ``x`` back along the Dijkstra predecessors to
+    the seeded ``x0``, and ``x0``'s higher-level neighbour. Ties go to
+    the first candidate found. ``None`` when the entry is infinite.
 
     Only region-internal edges are relaxed, so across all levels the work
     is bounded by the full edge set once.
@@ -394,6 +468,8 @@ def _region_candidate(
     costs = g.costs
     in_region = set(members)
     dist: dict[int, float] = {}
+    pred: dict[int, int] = {}
+    exit_of: dict[int, int] = {}
     pq: list[tuple[float, int]] = []
     for x in members:
         best_boundary = np.inf
@@ -402,9 +478,11 @@ def _region_candidate(
                 ry = r_til[y]
                 if ry < best_boundary:
                     best_boundary = ry
+                    exit_of[x] = int(y)
         if np.isfinite(best_boundary):
             d0 = float(costs[x] + best_boundary)
             dist[x] = d0
+            pred[x] = -1
             heapq.heappush(pq, (d0, x))
 
     settled: set[int] = set()
@@ -419,16 +497,24 @@ def _region_candidate(
                 cand = float(costs[z]) + dx
                 if cand < dist.get(z, np.inf):
                     dist[z] = cand
+                    pred[z] = x
                     heapq.heappush(pq, (cand, z))
 
-    best = np.inf
+    best, arg = np.inf, None
     for x, dx in dist.items():
         for u in g.neighbors(x):
             if levels[u] >= 0 and levels[u] < l:
                 cand = float(l_til[u]) + dx
                 if cand < best:
-                    best = cand
-    return float(best)
+                    best, arg = cand, (int(u), x)
+    if arg is None:
+        return float(best), None
+    u, x = arg
+    chain = [x]
+    while pred[x] >= 0:
+        x = pred[x]
+        chain.append(x)
+    return float(best), (u, chain, exit_of[x])
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +522,22 @@ def _region_candidate(
 # ---------------------------------------------------------------------------
 
 
+def _first_min_neighbor(
+    g: NodeWeightedGraph, vals: np.ndarray, x: int, best: float
+) -> int:
+    """The smallest-id neighbour of ``x`` whose arc value ``vals`` is the
+    row minimum ``best`` (CSR rows are sorted: the first hit of the row,
+    the one the scalar scans keep)."""
+    lo, hi = int(g.indptr[x]), int(g.indptr[x + 1])
+    return int(g.indices[lo + int(np.flatnonzero(vals[lo:hi] == best)[0])])
+
+
 def _neighbor_closures(
     g: NodeWeightedGraph,
     levels: np.ndarray,
     l_til: np.ndarray,
     r_til: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-node boundary/closing minima for every region at once.
 
     A region node ``x`` sits at level ``l = levels[x]``, so its boundary
@@ -453,6 +549,8 @@ def _neighbor_closures(
     * ``best_hi[x] = min(R~(y) : y ~ x, levels[y] > levels[x])``
     * ``best_lo[x] = min(L~(u) : u ~ x, 0 <= levels[u] < levels[x])``
 
+    plus the per-arc values they reduce (``vals_hi``, ``vals_lo``), from
+    which :func:`_first_min_neighbor` recovers a witness's neighbour.
     Minima are order-independent, so the values equal the scalar scans'
     bit for bit.
     """
@@ -461,7 +559,7 @@ def _neighbor_closures(
     best_lo = np.full(n, np.inf)
     arcs = g.indices
     if arcs.shape[0] == 0:
-        return best_hi, best_lo
+        return best_hi, best_lo, np.empty(0), np.empty(0)
     src = g.arc_sources()
     l_src = levels[src]
     l_dst = levels[arcs]
@@ -484,7 +582,7 @@ def _neighbor_closures(
     best_lo[has_arcs] = np.minimum.reduceat(
         np.concatenate([vals_lo, sentinel]), row_starts
     )[has_arcs]
-    return best_hi, best_lo
+    return best_hi, best_lo, vals_hi, vals_lo
 
 
 def _regions_numpy(
@@ -494,23 +592,28 @@ def _regions_numpy(
     s: int,
     l_til: np.ndarray,
     r_til: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[np.ndarray, dict[int, tuple], int, int]:
     """Steps 3-4, vectorized: mask + argsort bucketing instead of the
     per-node loop, shared closure arrays instead of per-member neighbour
     scans, and *one* batched scipy Dijkstra covering every region at
     once (regions are disjoint, so the merged call does the same bounded
-    one-pass-over-the-edge-set work the per-region Dijkstras did)."""
+    one-pass-over-the-edge-set work the per-region Dijkstras did).
+    Witnesses as in :func:`_regions_python`."""
     c_minus = np.full(s, np.inf)  # c^{-l}, indexed by l (entries 1..s-1)
     mask = (levels >= 1) & (levels <= s - 1) & ~on_path
     members_all = np.nonzero(mask)[0]
     if members_all.size == 0:
-        return c_minus, 0, 0
-    best_hi, best_lo = _neighbor_closures(g, levels, l_til, r_til)
+        return c_minus, {}, 0, 0
+    best_hi, best_lo, vals_hi, vals_lo = _neighbor_closures(
+        g, levels, l_til, r_til
+    )
     order = np.argsort(levels[members_all], kind="stable")
     members_all = members_all[order]
     member_levels = levels[members_all]
     run_breaks = np.nonzero(np.diff(member_levels))[0] + 1
-    dist = _region_distances_scipy(g, mask, levels, members_all, best_hi)
+    dist, pred = _region_distances_scipy(
+        g, mask, levels, members_all, best_hi
+    )
     # Step 4: close every region node through its cheapest lower-level
     # neighbour; min per level-contiguous group. Unreached nodes carry
     # dist=inf and nodes without a lower neighbour carry best_lo=inf, so
@@ -518,10 +621,29 @@ def _regions_numpy(
     # scalar scan that only visits reached nodes.
     vals = best_lo[members_all] + dist
     group_starts = np.concatenate([np.zeros(1, dtype=np.int64), run_breaks])
-    c_minus[member_levels[group_starts]] = np.minimum.reduceat(
-        vals, group_starts
-    )
-    return c_minus, int(members_all.size), int(group_starts.shape[0])
+    group_min = np.minimum.reduceat(vals, group_starts)
+    c_minus[member_levels[group_starts]] = group_min
+    # One witness per finite level: its first minimal member, walked back
+    # along the region predecessors (local indices; the virtual source is
+    # index ``nm``) to the seeded node.
+    nm = members_all.shape[0]
+    witnesses: dict[int, tuple] = {}
+    group_ends = np.append(group_starts[1:], nm)
+    for lo, hi, best in zip(
+        group_starts.tolist(), group_ends.tolist(), group_min.tolist()
+    ):
+        if not np.isfinite(best):
+            continue
+        k = lo + int(np.flatnonzero(vals[lo:hi] == best)[0])
+        x = int(members_all[k])
+        u = _first_min_neighbor(g, vals_lo, x, best_lo[x])
+        chain = [x]
+        while pred[k] != nm:
+            k = int(pred[k])
+            chain.append(int(members_all[k]))
+        y = _first_min_neighbor(g, vals_hi, chain[-1], best_hi[chain[-1]])
+        witnesses[int(member_levels[lo])] = (u, chain, y)
+    return c_minus, witnesses, int(nm), int(group_starts.shape[0])
 
 
 def _region_distances_scipy(
@@ -530,7 +652,7 @@ def _region_distances_scipy(
     levels: np.ndarray,
     members: np.ndarray,
     best_hi: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """All the step-3 boundary Dijkstras in a single scipy call.
 
     Regions are pairwise disjoint and only region-internal edges are
@@ -539,15 +661,14 @@ def _region_distances_scipy(
     out-arcs carry each member's seed ``c_x + best_hi[x]`` — leaves the
     regions disconnected from each other, and one Dijkstra from the
     virtual source computes every region's ``R~^{-l}`` vector at once.
+    Returns the distances and scipy's predecessors, both indexed like
+    ``members`` (the virtual source is index ``len(members)``).
 
-    Bit-identity with the scalar region Dijkstra: relaxation adds the
-    head cost to the accumulated distance in both (IEEE addition is
-    commutative, so ``c_z + d_x == d_x + c_z`` bit for bit), seeds are
-    the same numpy float64 sums, and with monotone non-negative addition
-    the settled distances do not depend on tie-breaking order. Zero
-    weights use the same ``1e-300`` arc nudge / ``<1e-250`` clip
-    convention as the scipy SPT backend (an exact 0 in CSR data reads as
-    a missing arc).
+    The distances pick the minima; the reported avoiding costs are the
+    canonical sums over the witness paths these predecessors trace, so
+    the order scipy adds in does not reach the answer. Zero weights use
+    the same ``1e-300`` arc nudge / ``<1e-250`` clip convention as the
+    scipy SPT backend (an exact 0 in CSR data reads as a missing arc).
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra as sp_dijkstra
@@ -569,9 +690,12 @@ def _region_distances_scipy(
     data = np.concatenate([data, seed_w])
     data[data <= 0.0] = 1e-300
     matrix = csr_matrix((data, (rows, cols)), shape=(nm + 1, nm + 1))
-    dist = sp_dijkstra(matrix, directed=True, indices=nm)[:nm]
+    dist, pred = sp_dijkstra(
+        matrix, directed=True, indices=nm, return_predecessors=True
+    )
+    dist = dist[:nm]
     dist[dist < 1e-250] = 0.0
-    return dist
+    return dist, pred[:nm]
 
 
 def _crossing_edges_numpy(
@@ -579,18 +703,19 @@ def _crossing_edges_numpy(
     levels: np.ndarray,
     l_til: np.ndarray,
     r_til: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """Step-5 table as whole-array numpy filters over the CSR arcs.
 
-    Returns the same ``(entry level, value, expiry level)`` stream as
-    :func:`_crossing_edges_python`, in the same order: the ``src < dst``
-    arc mask enumerates undirected edges exactly in ``edge_iter`` order,
-    and the stable sort groups them by entry level without reshuffling.
+    Returns the same ``(entry level, value, expiry level, u, v)`` stream
+    as :func:`_crossing_edges_python`, in the same order: the
+    ``src < dst`` arc mask enumerates undirected edges exactly in
+    ``edge_iter`` order, and the stable sort groups them by entry level
+    without reshuffling.
     """
     arcs = g.indices
     empty = np.empty(0, dtype=np.int64)
     if arcs.shape[0] == 0:
-        return empty, np.empty(0), empty
+        return empty, np.empty(0), empty, empty, empty
     src = g.arc_sources()
     keep = src < arcs
     u = src[keep]
@@ -606,25 +731,40 @@ def _crossing_edges_numpy(
     crossing = (l_low >= 0) & (l_high - l_low >= 2) & np.isfinite(value)
     starts = l_low[crossing] + 1
     order = np.argsort(starts, kind="stable")
-    return starts[order], value[crossing][order], l_high[crossing][order]
+    return (
+        starts[order],
+        value[crossing][order],
+        l_high[crossing][order],
+        u_low[crossing][order],
+        v_high[crossing][order],
+    )
 
 
-def _crossing_minima_heap(starts, values, expiries, s: int) -> np.ndarray:
+def _crossing_minima_heap(
+    starts, values, expiries, s: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-level minimum over the valid crossing edges, as a
     lazy-deletion heap sweep (the step-5 structure the paper describes:
-    each edge enters and leaves the heap once)."""
+    each edge enters and leaves the heap once). Also returns the stream
+    index of each level's minimal edge (-1 where none): the heap breaks
+    priority ties by push order, so it is the earliest in the stream."""
     best = np.full(s, np.inf)
+    arg = np.full(s, -1, dtype=np.int64)
     heap = LazyMinHeap()
     heap_edges = len(starts)
     next_edge = 0
     for l in range(1, s):
         while next_edge < heap_edges and starts[next_edge] <= l:
-            heap.push(float(values[next_edge]), int(expiries[next_edge]))
+            heap.push(
+                float(values[next_edge]),
+                (int(expiries[next_edge]), next_edge),
+            )
             next_edge += 1
-        entry = heap.peek_valid(lambda lv, _l=l: lv > _l)
+        entry = heap.peek_valid(lambda p, _l=l: p[0] > _l)
         if entry is not None:
             best[l] = entry[0]
-    return best
+            arg[l] = entry[1][1]
+    return best, arg
 
 
 def _crossing_minima_numpy(
@@ -632,21 +772,22 @@ def _crossing_minima_numpy(
     values: np.ndarray,
     expiries: np.ndarray,
     s: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-level minimum over the valid crossing edges, vectorized.
 
     Expands each edge into its validity levels ``start .. expiry-1``
-    (one ``np.repeat`` incidence stream), then takes grouped minima —
-    no per-edge Python heap traffic. Minimum is order-independent, so
-    the result matches the heap sweep bit for bit. Falls back to the
-    heap when the summed validity spans blow up past the O(E log E)
-    regime (long paths crossed by long edges), keeping the worst case
-    bounded.
+    (one ``np.repeat`` incidence stream), then sorts by level, value and
+    stream index, so each level's first entry is its minimum and, among
+    equal values, the earliest edge of the stream — the heap sweep's
+    answer bit for bit. Falls back to the heap when the summed validity
+    spans blow up past the O(E log E) regime (long paths crossed by long
+    edges), keeping the worst case bounded.
     """
     best = np.full(s, np.inf)
+    arg = np.full(s, -1, dtype=np.int64)
     n_edges = int(len(starts))
     if n_edges == 0:
-        return best
+        return best, arg
     lengths = expiries - starts
     total = int(lengths.sum())
     if total > 4 * n_edges + 65536:
@@ -655,11 +796,13 @@ def _crossing_minima_numpy(
     pos = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
     idx = np.repeat(starts, lengths) + pos
     vals = np.repeat(values, lengths)
-    order = np.argsort(idx, kind="stable")
+    eid = np.repeat(np.arange(n_edges, dtype=np.int64), lengths)
+    order = np.lexsort((eid, vals, idx))
     idx = idx[order]
-    vals = vals[order]
     group_starts = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.nonzero(np.diff(idx))[0] + 1]
     )
-    best[idx[group_starts]] = np.minimum.reduceat(vals, group_starts)
-    return best
+    first = order[group_starts]
+    best[idx[group_starts]] = vals[first]
+    arg[idx[group_starts]] = eid[first]
+    return best, arg

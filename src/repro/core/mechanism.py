@@ -9,8 +9,9 @@ otherwise, so ``u^k = p^k - x_k * c_k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "resolve_backend",
     "resolve_monopoly_policy",
     "spt_backend_for",
+    "canonical_cost",
     "BACKENDS",
     "MONOPOLY_POLICIES",
 ]
@@ -77,6 +79,19 @@ def resolve_monopoly_policy(on_monopoly: str) -> str:
             f"on_monopoly must be 'raise' or 'inf', got {on_monopoly!r}"
         )
     return on_monopoly
+
+
+def canonical_cost(costs: Sequence[float], nodes: Iterable[int]) -> float:
+    """The cost of a path's internal ``nodes``, as ``math.fsum`` of
+    their ``costs``.
+
+    ``fsum`` is correctly rounded, so the value does not depend on the
+    order the costs are added in. Every node-model pricing path reports
+    ``||P||`` and each ``||P_{-v_k}||`` this way, over the nodes of the
+    path that achieves it, so two methods that find the same paths agree
+    bit for bit whatever order their Dijkstras summed in.
+    """
+    return math.fsum(costs[v] for v in nodes)
 
 
 # The PR-4 ``warn_renamed_kwarg`` shim (``algorithm=``/``monopoly=``)

@@ -13,7 +13,10 @@ individually rational (each relay is paid at least its declared cost).
 ``method="naive"`` runs one Dijkstra per on-path relay — the
 O(n^2 log n + nm) baseline the paper mentions; ``method="fast"``
 delegates to Algorithm 1 (:mod:`repro.core.fast_payment`), the paper's
-O(n log n + m) contribution. Both produce identical payments (this is
+O(n log n + m) contribution. Both read the LCP from ``SPT(target)``
+and report ``||P||`` and every ``||P_{-v_k}||`` as the canonical sum
+(:func:`~repro.core.mechanism.canonical_cost`) over the path that
+achieves it, so they produce identical answers bit for bit (this is
 property-tested).
 """
 
@@ -24,12 +27,12 @@ import numpy as np
 from repro.core.mechanism import (
     MechanismSpec,
     UnicastPayment,
+    canonical_cost,
     resolve_backend,
     resolve_monopoly_policy,
     spt_backend_for,
 )
 from repro.errors import DisconnectedError, MonopolyError
-from repro.graph.avoiding import avoiding_distance
 from repro.graph.dijkstra import node_weighted_spt
 from repro.graph.node_graph import NodeWeightedGraph
 from repro.obs.metrics import REGISTRY as _metrics
@@ -89,19 +92,14 @@ def vcg_unicast_payments(
     # The Dijkstra layer knows no "numpy" backend; map it exactly as the
     # Algorithm-1 entry point does so every backend name works here too.
     backend = spt_backend_for(backend)
-    spt = node_weighted_spt(g, source, backend=backend)
-    if not spt.reachable(target):
-        raise DisconnectedError(source, target)
-    path = spt.path_from_root(target)
-    lcp_cost = float(spt.dist[target])
+    path = _lcp(g, source, target, backend)
+    lcp_cost = canonical_cost(g.costs, path[1:-1])
     payments: dict[int, float] = {}
     for k in path[1:-1]:
         # Each relay costs one avoiding-path Dijkstra — the O(n) rebuild
         # Algorithm 1 exists to avoid; the counter is what benchmark
         # write-ups cite when comparing the two methods.
-        if _metrics.enabled:
-            _metrics.add("vcg_unicast.avoiding_recomputations", 1)
-        detour = avoiding_distance(g, source, target, k, backend=backend)
+        detour = _removal_cost(g, source, target, k)
         if not np.isfinite(detour):
             if on_monopoly == "raise":
                 raise MonopolyError(source, target, k)
@@ -109,6 +107,27 @@ def vcg_unicast_payments(
             continue
         payments[k] = detour - lcp_cost + float(g.costs[k])
     return UnicastPayment(source, target, tuple(path), lcp_cost, payments)
+
+
+def _lcp(g: NodeWeightedGraph, source: int, target: int, backend: str) -> list[int]:
+    """The LCP ``source, ..., target``, read from ``SPT(target)`` as every
+    node-model method reads it."""
+    spt = node_weighted_spt(g, target, backend=backend)
+    if not spt.reachable(source):
+        raise DisconnectedError(source, target)
+    return spt.path_to_root(source)
+
+
+def _removal_cost(g: NodeWeightedGraph, source: int, target: int, k: int) -> float:
+    """``||P_{-v_k}||``: the canonical sum over the path of the removal
+    tree (``SPT(target)`` without ``k``), ``inf`` when ``k`` is a
+    monopoly."""
+    if _metrics.enabled:
+        _metrics.add("vcg_unicast.avoiding_recomputations", 1)
+    spt = node_weighted_spt(g, target, forbidden=[k])
+    if not spt.reachable(source):
+        return float("inf")
+    return canonical_cost(g.costs, spt.path_to_root(source)[1:-1])
 
 
 def vcg_payment_to_node(
@@ -121,23 +140,18 @@ def vcg_payment_to_node(
     """Payment to a single node without computing the rest.
 
     Returns 0 when ``node`` is off the least cost path (by the definition
-    in III.A), else ``||P_{-v_k}|| - ||P|| + d_k``. Raises
+    in III.A), else ``||P_{-v_k}|| - ||P|| + d_k``, with the same path
+    and canonical sums as ``method="naive"``. Raises
     :class:`MonopolyError` when the node is a monopoly.
     """
     node = check_node_index(node, g.n)
-    backend = spt_backend_for(backend)
-    spt = node_weighted_spt(g, source, backend=backend)
-    if not spt.reachable(target):
-        raise DisconnectedError(source, target)
-    path = spt.path_from_root(target)
+    path = _lcp(g, source, target, spt_backend_for(backend))
     if node not in path[1:-1]:
         return 0.0
-    if _metrics.enabled:
-        _metrics.add("vcg_unicast.avoiding_recomputations", 1)
-    detour = avoiding_distance(g, source, target, node, backend=backend)
+    detour = _removal_cost(g, source, target, node)
     if not np.isfinite(detour):
         raise MonopolyError(source, target, node)
-    return float(detour - spt.dist[target] + g.costs[node])
+    return detour - canonical_cost(g.costs, path[1:-1]) + float(g.costs[node])
 
 
 #: Pluggable spec for the truthfulness harness and baseline comparisons.

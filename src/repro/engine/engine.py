@@ -90,9 +90,11 @@ Batching
 ``price_many`` funnels cache misses into
 :func:`~repro.core.allpairs.pairwise_vcg_payments`, sharing and growing
 the engine's SPT cache, and stores every priced pair in the pair cache.
-It is serial: an offline batch that wants worker processes goes through
-:func:`repro.api.price_all_pairs` with ``jobs=N``, which needs no
-engine and no caches.
+Misses that share a target (every source to the access point, Section
+III.G) are priced by the all-sources batch
+(:mod:`repro.core.all_sources`), which reads the target's tree and
+builds no source tree; the SPT-cache counters count only the trees a
+batch reads (:func:`~repro.core.allpairs.spt_roots`).
 
 Concurrency and snapshot isolation
 ----------------------------------
@@ -148,7 +150,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core.allpairs import pairwise_vcg_payments
+from repro.core.allpairs import pairwise_vcg_payments, spt_roots
 from repro.core.fast_payment import fast_vcg_payments
 from repro.core.link_vcg import link_vcg_payments
 from repro.core.mechanism import (
@@ -613,14 +615,16 @@ class PricingEngine:
 
         Node model: ``max(lcp, max over relays k of ||P_{-k}||)``, each
         avoiding cost read back from its payment as
-        ``p_k - c_k + lcp`` with the costs the pair was priced on.
-        Against Algorithm 1's own ``avoiding_costs`` this was exact on
-        993 of 998 all-sources-to-AP pairs of two 500-node instances
-        (``bench_engine._udg_instance`` seeds 2004 and 7), and within
-        1.4e-16 relative on the rest: far inside the certificate's 1e-9
-        margin. A monopoly relay pays ``inf``, so its pair never
-        survives. Link model: ``inf`` — every link-model update flushes
-        the log anyway.
+        ``p_k - c_k + lcp`` with the costs the pair was priced on. The
+        payment was computed from the canonical sums as
+        ``||P_{-k}|| - lcp + c_k``, so the read-back can differ from
+        ``||P_{-k}||`` by the rounding of those two float operations:
+        it was exact on 993 of 998 all-sources-to-AP pairs of two
+        500-node instances (``bench_engine._udg_instance`` seeds 2004
+        and 7) and within 1.4e-16 relative on the rest, far inside the
+        certificate's 1e-9 margin. A monopoly relay pays ``inf``, so its
+        pair never survives. Link model: ``inf`` — every link-model
+        update flushes the log anyway.
         """
         witnessed = math.inf
         if self._model == "node":
@@ -725,9 +729,9 @@ class PricingEngine:
                 for s, t in todo
             }
         else:
-            # Share (and grow) the engine's endpoint-SPT cache.
+            # Share (and grow) the engine's endpoint-SPT cache; count
+            # only the trees the batch reads.
             shared = dict(self._spts)
-            known = set(shared)
             priced = pairwise_vcg_payments(
                 self._graph,
                 todo,
@@ -735,12 +739,12 @@ class PricingEngine:
                 backend=self._backend,
                 spt_cache=shared,
             )
-            for root, spt in shared.items():
-                if root in known:
+            for root in spt_roots(todo, self._backend):
+                if root in self._spts:
                     self._count("spt_cache_hits")
                 else:
                     self._count("spt_cache_misses")
-                    self._spts[root] = spt
+                    self._spts[root] = shared[root]
         for key, payment in priced.items():
             self._store(key, payment)
         return priced

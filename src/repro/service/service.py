@@ -135,8 +135,8 @@ class PricingService:
 
     Every request, batches included, is priced in-process on the worker
     thread that drains its ticket: the service never fans out over
-    worker processes. Callers that want process fan-out for one large
-    offline batch use :func:`repro.api.price_all_pairs` with ``jobs=``.
+    worker processes (an all-sources batch to one target is a single
+    pass, see :mod:`repro.core.all_sources`).
 
     Parameters
     ----------

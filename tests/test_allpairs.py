@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.allpairs import (
     TrafficMatrix,
     network_economy,
     pairwise_vcg_payments,
+    spt_roots,
 )
+from repro.core.all_sources import price_sources
+from repro.core.fast_payment import fast_vcg_payments
 from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.engine.oracle import answer_key
-from repro.errors import InvalidGraphError
+from repro.errors import DisconnectedError, InvalidGraphError, MonopolyError
 from repro.graph import generators as gen
+from repro.graph.node_graph import NodeWeightedGraph
 
 from conftest import biconnected_graphs
 
@@ -73,25 +78,45 @@ class TestPairwisePayments:
         )
 
     def test_one_spt_per_distinct_endpoint(self, random_graph):
-        """The batch path builds e Dijkstras for e distinct endpoints —
-        not two per pair — making the module docstring's complexity claim
-        literally true. Counted via the metrics registry."""
-        from repro.obs.metrics import REGISTRY
-
+        """Algorithm 1 builds e Dijkstras for e distinct endpoints — not
+        two per pair. ``backend="numpy"`` keeps every pair on Algorithm 1;
+        counted via the metrics registry."""
         pairs = [(0, 1), (0, 2), (1, 2), (2, 0), (3, 1), (0, 1)]
         endpoints = {x for p in pairs for x in p}
-        REGISTRY.reset()
-        REGISTRY.enable()
-        try:
-            out = pairwise_vcg_payments(random_graph, pairs)
-            snap = REGISTRY.snapshot().flat()
-        finally:
-            REGISTRY.disable()
-            REGISTRY.reset()
+        assert spt_roots(pairs, "numpy") == endpoints
+        out, snap = self._metered(random_graph, pairs, "numpy")
         assert snap["allpairs.spt_builds"] == len(endpoints)
         assert snap["allpairs.pairs_priced"] == len(set(pairs))
         assert snap["dijkstra.runs"] == len(endpoints)
         assert len(out) == len(set(pairs))
+
+    def test_batched_target_reads_its_tree_only(self, random_graph):
+        """Under ``auto`` a target shared by several sources goes through
+        the all-sources batch, which reads the target's tree only."""
+        pairs = [(0, 1), (0, 2), (1, 2), (2, 0), (3, 1), (0, 1)]
+        roots = spt_roots(pairs, "auto")
+        assert roots == {0, 1, 2}  # targets 1 and 2 are batched
+        out, snap = self._metered(random_graph, pairs, "auto")
+        assert snap["allpairs.spt_builds"] == len(roots)
+        assert snap["allpairs.pairs_priced"] == len(set(pairs))
+        assert snap["dijkstra.runs"] == len(roots)
+        assert snap["all_sources.runs"] == 2
+        for i, j in out:
+            ref = vcg_unicast_payments(random_graph, i, j, on_monopoly="inf")
+            assert answer_key(out[(i, j)]) == answer_key(ref)
+
+    @staticmethod
+    def _metered(g, pairs, backend):
+        from repro.obs.metrics import REGISTRY
+
+        REGISTRY.reset()
+        REGISTRY.enable()
+        try:
+            out = pairwise_vcg_payments(g, pairs, backend=backend)
+            return out, REGISTRY.snapshot().flat()
+        finally:
+            REGISTRY.disable()
+            REGISTRY.reset()
 
     def test_backend_python_matches_auto(self, random_graph):
         pairs = [(0, 5), (5, 9), (9, 0)]
@@ -151,6 +176,157 @@ class TestPairwisePayments:
         for key in pairs:
             assert a[key].path == b[key].path
             assert dict(a[key].payments) == dict(b[key].payments)
+
+
+@st.composite
+def rough_graphs(draw, min_nodes=1, max_nodes=20):
+    """Graphs the paper excludes: monopolies, disconnected parts,
+    degree-0 nodes, and costs that are continuous, integer (ties) or
+    integer with zero-cost relays."""
+    n = draw(st.integers(min_nodes, max_nodes))
+    p = draw(st.floats(0.0, min(1.0, 6.0 / max(n, 1))))
+    seed = draw(st.integers(0, 2**31 - 1))
+    kind = draw(st.sampled_from(["continuous", "ties", "zeros"]))
+    rng = np.random.default_rng(seed)
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ]
+    if kind == "continuous":
+        costs = rng.uniform(0.5, 20.0, size=n)
+    else:
+        costs = rng.integers(0 if kind == "zeros" else 1, 4, size=n)
+    return NodeWeightedGraph(n, edges, costs.astype(float))
+
+
+def _outcomes(price, pairs):
+    """``{pair: answer_key}`` of ``price(pair)``, errors included."""
+    out = {}
+    for pair in pairs:
+        try:
+            out[pair] = answer_key(price(*pair))
+        except DisconnectedError as exc:  # MonopolyError included
+            out[pair] = answer_key(exc)
+    return out
+
+
+def _first_error(price_all, pairs):
+    """``(type, source, target)`` of the error ``price_all(pairs)``
+    raises, or None."""
+    try:
+        price_all(pairs)
+    except DisconnectedError as exc:
+        return type(exc), exc.source, exc.target, getattr(exc, "removed", None)
+    return None
+
+
+class TestAllSourcesBatch:
+    """The all-sources batch against per-pair Algorithm 1 and the naive
+    III.A method: full answers, bit for bit, on the graphs the paper
+    excludes too."""
+
+    @staticmethod
+    def _assert_batch_exact(g, target, on_monopoly="inf", naive=True):
+        pairs = [(i, target) for i in range(g.n)]
+        assert spt_roots(pairs) == {target}
+
+        def alg1(i, j):
+            return fast_vcg_payments(
+                g, i, j, on_monopoly=on_monopoly
+            ).to_unicast_payment()
+
+        def batch(i, j):
+            return price_sources(g, j, [i], on_monopoly)[i]
+
+        want = _outcomes(alg1, pairs)
+        got = price_sources(g, target, range(g.n), on_monopoly)
+        assert {(i, target): answer_key(o) for i, o in got.items()} == want
+        assert _outcomes(batch, pairs) == want
+        if naive:
+            assert _outcomes(
+                lambda i, j: vcg_unicast_payments(
+                    g, i, j, method="naive", on_monopoly=on_monopoly
+                ),
+                pairs,
+            ) == want
+        # Through the dispatcher: errors surface at the first failing
+        # pair in request order, exactly as per-pair Algorithm 1 has it.
+        order = list(reversed(pairs))
+        assert _first_error(
+            lambda ps: pairwise_vcg_payments(g, ps, on_monopoly=on_monopoly),
+            order,
+        ) == _first_error(
+            lambda ps: pairwise_vcg_payments(
+                g, ps, on_monopoly=on_monopoly, backend="numpy"
+            ),
+            order,
+        )
+
+    @pytest.mark.parametrize("on_monopoly", ["inf", "raise"])
+    def test_monopolies(self, on_monopoly):
+        # Two biconnected blocks joined at articulation point 3, plus a
+        # pendant path 6 - 7 - 8: relays 3, 6 and 7 are monopolies.
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3), (1, 3), (3, 4), (4, 5),
+                 (5, 3), (5, 6), (6, 7), (7, 8)]
+        g = NodeWeightedGraph(9, edges, [1.0, 2, 3, 4, 5, 6, 7, 8, 9])
+        for target in (0, 8):
+            self._assert_batch_exact(g, target, on_monopoly)
+        with pytest.raises(MonopolyError):
+            pairwise_vcg_payments(g, [(8, 0), (5, 0)], on_monopoly="raise")
+
+    def test_disconnected_source_raises_first_in_request_order(self):
+        # Component {0..4} and component {5, 6, 7}; node 8 has degree 0.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3),
+                 (5, 6), (6, 7), (7, 5)]
+        g = NodeWeightedGraph(9, edges, np.arange(1.0, 10.0))
+        pairs = [(1, 0), (2, 0), (6, 3), (8, 3), (4, 3), (7, 0), (3, 0)]
+        for backend in ("auto", "numpy"):
+            with pytest.raises(DisconnectedError) as info:
+                pairwise_vcg_payments(g, pairs, backend=backend)
+            assert (info.value.source, info.value.target) == (6, 3)
+        for target in (0, 5, 8):
+            self._assert_batch_exact(g, target)
+
+    def test_degree_zero_nodes_and_zero_cost_relays(self):
+        # Zero-cost relays need the CSR zero nudge in the depth solves.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 2),
+                 (5, 6), (6, 3), (4, 7)]
+        costs = [0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0]
+        g = NodeWeightedGraph(10, edges, costs)  # nodes 8, 9: degree 0
+        for target in range(g.n):
+            self._assert_batch_exact(g, target)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_graphs(self, n):
+        for edges in ([], [(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]):
+            if all(v < n for e in edges for v in e):
+                g = NodeWeightedGraph(n, edges, np.arange(1.0, n + 1.0))
+                for target in range(n):
+                    for on_monopoly in ("inf", "raise"):
+                        self._assert_batch_exact(g, target, on_monopoly)
+
+    def test_integer_cost_ties(self):
+        # A grid with unit costs: almost every pair has several LCPs.
+        side = 6
+        edges = [(r * side + c, r * side + c + 1)
+                 for r in range(side) for c in range(side - 1)]
+        edges += [(r * side + c, (r + 1) * side + c)
+                  for r in range(side - 1) for c in range(side)]
+        g = NodeWeightedGraph(side * side, edges, np.ones(side * side))
+        for target in (0, 14, side * side - 1):
+            self._assert_batch_exact(g, target)
+
+    @given(rough_graphs(max_nodes=20), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_small(self, g, data):
+        target = data.draw(st.integers(0, g.n - 1))
+        on_monopoly = data.draw(st.sampled_from(["inf", "raise"]))
+        self._assert_batch_exact(g, target, on_monopoly)
+
+    @given(rough_graphs(min_nodes=64, max_nodes=90), st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_sweep_at_scipy_scale(self, g, data):
+        target = data.draw(st.integers(0, g.n - 1))
+        self._assert_batch_exact(g, target, naive=False)
 
 
 class TestNetworkEconomy:

@@ -416,23 +416,33 @@ class TestPriceMany:
         assert set(out) == {(5, 0), (6, 0)}
         assert eng.stats.cache_misses == 2
 
-    @pytest.mark.parametrize(
-        "make_graph",
-        [lambda: gen.random_biconnected_graph(40, seed=5)],
-        ids=["node"],
-    )
-    def test_jobs_parallel_bit_identical(self, make_graph):
-        """The process fan-out (api.price_all_pairs with jobs=2) prices
-        bit-identically to the engine's serial batch path."""
-        from repro import api
+    def test_batch_counts_only_the_trees_it_reads(self):
+        # 21 trees are cached; one Algorithm-1 pair reads two of them
+        # (its target's, cached, and its source's, built).
+        g = gen.random_biconnected_graph(40, seed=5)
+        eng = PricingEngine(g)
+        for s in range(1, 21):
+            eng.price(s, 0)
+        assert eng.cache_sizes()["spts"] == 21
+        hits, misses = eng.stats.spt_cache_hits, eng.stats.spt_cache_misses
+        eng.price_many([(25, 0)])
+        assert eng.stats.spt_cache_hits - hits == 1
+        assert eng.stats.spt_cache_misses - misses == 1
+        # A batched target reads its own tree only, whatever the batch size.
+        hits, misses = eng.stats.spt_cache_hits, eng.stats.spt_cache_misses
+        eng.price_many([(s, 0) for s in range(21, 40)])
+        assert eng.stats.spt_cache_hits - hits == 1
+        assert eng.stats.spt_cache_misses - misses == 0
+        assert eng.cache_sizes()["spts"] == 22
 
-        g = make_graph()
-        pairs = [(i, 0) for i in range(1, g.n)]
-        serial = PricingEngine(g, on_monopoly="inf").price_many(pairs)
-        par = api.price_all_pairs(g, pairs, jobs=2)
-        assert serial.keys() == par.keys()
-        for key in pairs:
-            assert answer_key(serial[key]) == answer_key(par[key])
+    def test_batch_builds_no_source_tree(self):
+        g = gen.random_biconnected_graph(40, seed=5)
+        eng = PricingEngine(g, on_monopoly="inf")
+        got = eng.price_many([(s, 0) for s in range(1, g.n)])
+        assert eng.cache_sizes()["spts"] == 1
+        for (s, t), p in got.items():
+            want = vcg_unicast_payments(g, s, t, method="naive", on_monopoly="inf")
+            assert answer_key(p) == answer_key(want)
 
 
 class TestLinkModel:
