@@ -4,9 +4,9 @@ PYTHON ?= python
 
 .PHONY: install test doctest bench bench-full bench-save bench-compare experiments experiments-full examples lint lint-docs docs check-links all
 
-# Perf-regression gate defaults: compare a fresh run against the newest
-# committed BENCH_<sha>.json baseline, failing past a 50% slowdown.
-BENCH_BASELINE ?= $(shell ls -t BENCH_*.json 2>/dev/null | head -1)
+# Perf-regression gate defaults: compare a fresh run against the one
+# committed baseline (the file CI gates on), failing past a 50% slowdown.
+BENCH_BASELINE ?= BENCH_7c00de1.json
 BENCH_CURRENT ?= bench_current.json
 BENCH_THRESHOLD ?= 0.5
 

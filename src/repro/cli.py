@@ -908,12 +908,6 @@ def _cmd_client(args) -> int:
         return 1
     g0, v0 = head.graph, head.graph_version
     n = g0.n
-    can_write = head.model == "node" and args.update_frac > 0
-    if args.update_frac > 0 and not can_write:
-        print(
-            "note: server runs the link model; running a read-only "
-            "workload (cost updates need node ids)"
-        )
 
     rng = np.random.default_rng(args.seed)
     records = []  # (version, s, t, payment)
@@ -922,7 +916,7 @@ def _cmd_client(args) -> int:
     t0 = time.perf_counter()
     for _ in range(args.requests):
         try:
-            if can_write and rng.random() < args.update_frac:
+            if args.update_frac > 0 and rng.random() < args.update_frac:
                 node = int(rng.integers(0, n))
                 value = float(rng.uniform(1.0, 10.0))
                 resp = client.update_cost(node, value)

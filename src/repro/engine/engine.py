@@ -31,8 +31,11 @@ The engine owns the current graph plus a monotonically increasing
   the record is written. ``price`` and ``price_many`` write the same
   record, so a pair a batch priced survives updates like any other.
 
+The engine serves the node model only; a link-weighted digraph
+(Section III.F) is priced statelessly by :func:`repro.api.price_links`.
+
 A pair stamp that does not match the current version marks the entry
-stale. A *node-model update* itself does almost no work: it swaps the
+stale. An *update* itself does almost no work: it swaps the
 graph snapshot, bumps the version, drops the trees and appends a
 ``(node, old, new)`` record to a bounded **update log**. A cost
 re-declaration logs the old and new cost; a node leaving is the paper's
@@ -67,13 +70,11 @@ log). Per logged update ``k: c_old -> c_new``:
   relay priced with ``on_monopoly="inf"``) never passes — conservative.
 
 Once its witness exists, a log entry drops its snapshot and keeps only
-``(node, old, new)`` and the distances. Link-model updates (arc weights and
-topology) clear the log instead: the version bump lazily invalidates
-every pair, which is always sound. The log is capped (``_LOG_CAP``
+``(node, old, new)`` and the distances. The log is capped (``_LOG_CAP``
 updates); pairs older than the cap fall back to a plain rebuild at next
 use.
 
-Exactness under ties: every node-model tree is canonical
+Exactness under ties: every tree is canonical
 (:func:`repro.graph.dijkstra.node_weighted_spt` sets each parent to the
 smallest-id tight neighbour), so the path Algorithm 1 reads off the
 trees is a function of the graph alone, whatever the backend, graph
@@ -152,7 +153,6 @@ import numpy as np
 
 from repro.core.allpairs import pairwise_vcg_payments, spt_roots
 from repro.core.fast_payment import fast_vcg_payments
-from repro.core.link_vcg import link_vcg_payments
 from repro.core.mechanism import (
     UnicastPayment,
     resolve_backend,
@@ -163,7 +163,6 @@ from repro.engine import persist as _persist_mod
 from repro.engine.sync import RWLock
 from repro.errors import EngineClosedError, InvalidRequestError, ReproError
 from repro.graph.dijkstra import node_weighted_dist, node_weighted_spt
-from repro.graph.link_graph import LinkWeightedDigraph
 from repro.graph.node_graph import NodeWeightedGraph
 from repro.graph.spt import ShortestPathTree
 from repro.obs import logging as obs_logging
@@ -188,8 +187,8 @@ class EngineStats:
     only — every version bump empties it); ``invalidations`` pairs
     dropped at lookup because a logged update (cost or topology) may
     have changed them; ``stale_evictions`` pairs dropped because they
-    aged out of the update log (the log cap, a link-model update, or an
-    explicit :meth:`PricingEngine.purge_stale`); ``retained``
+    aged out of the update log (the log cap or an explicit
+    :meth:`PricingEngine.purge_stale`); ``retained``
     fast-forward steps that carried a pair through a logged update
     unchanged.
 
@@ -225,11 +224,11 @@ class EngineStats:
         return self.cache_hits / total if total else float("nan")
 
 
-def _empty_payment(source: int, target: int, scheme: str) -> UnicastPayment:
-    return UnicastPayment(source, target, (), 0.0, {}, scheme=scheme)
+def _empty_payment(source: int, target: int) -> UnicastPayment:
+    return UnicastPayment(source, target, (), 0.0, {}, scheme="vcg")
 
 
-#: Node-model updates remembered for lazy pair fast-forwarding; pairs
+#: Updates remembered for lazy pair fast-forwarding; pairs
 #: older than this fall back to a plain rebuild at next use. Memory
 #: bound per remembered update: its graph snapshot until the witness
 #: distances are solved (that snapshot's tail-cost CSR is ~190 KB on a
@@ -239,7 +238,7 @@ _LOG_CAP = 128
 
 @dataclass
 class _CostUpdate:
-    """One logged node-model update ``node: old -> new``, with what pair
+    """One logged update ``node: old -> new``, with what pair
     fast-forward needs (see the module docstring's pair-survival test).
 
     A leave is ``c_k -> +inf`` and a join ``+inf -> c_n``, both with
@@ -264,8 +263,8 @@ class PricingEngine:
     ----------
     graph:
         A :class:`~repro.graph.node_graph.NodeWeightedGraph` (Sections
-        II–III.E) or :class:`~repro.graph.link_graph.LinkWeightedDigraph`
-        (Section III.F). The model is detected from the type.
+        II–III.E). Any other type, a link-weighted digraph included,
+        raises :class:`TypeError`.
     backend, on_monopoly:
         The uniform pricing keywords, applied to every request this
         engine serves (see :func:`repro.core.mechanism.resolve_backend`).
@@ -285,18 +284,17 @@ class PricingEngine:
     retain:
         Checkpoint generations kept for corruption fallback.
 
-    Every answer is exactly what the stateless entry points would return
-    on the current snapshot: :func:`repro.core.vcg_unicast_payments`
-    (``method="fast"``) for the node model,
-    :func:`repro.core.link_vcg.link_vcg_payments` for the link model.
-    The caches only change *when* work happens, never the numbers — the
-    hypothesis property in ``tests/test_engine.py`` interleaves updates
-    and queries and checks bit-identity against from-scratch pricing.
+    Every answer is exactly what the stateless
+    :func:`repro.core.vcg_unicast_payments` (``method="fast"``) would
+    return on the current snapshot. The caches only change *when* work
+    happens, never the numbers — the hypothesis property in
+    ``tests/test_engine.py`` interleaves updates and queries and checks
+    bit-identity against from-scratch pricing.
     """
 
     def __init__(
         self,
-        graph: NodeWeightedGraph | LinkWeightedDigraph,
+        graph: NodeWeightedGraph,
         backend: str = "auto",
         on_monopoly: str = "raise",
         checkpoint_dir: str | Path | None = None,
@@ -305,14 +303,11 @@ class PricingEngine:
         checkpoint_every: int | None = None,
         retain: int = 2,
     ) -> None:
-        if isinstance(graph, NodeWeightedGraph):
-            self._model = "node"
-        elif isinstance(graph, LinkWeightedDigraph):
-            self._model = "link"
-        else:
+        if not isinstance(graph, NodeWeightedGraph):
             raise TypeError(
-                "PricingEngine needs a NodeWeightedGraph or a "
-                f"LinkWeightedDigraph, got {type(graph).__name__}"
+                "PricingEngine serves the node model and needs a "
+                f"NodeWeightedGraph, got {type(graph).__name__} (price a "
+                "link-weighted digraph with repro.api.price_links)"
             )
         self._graph = graph
         self._backend = resolve_backend(backend)
@@ -358,7 +353,7 @@ class PricingEngine:
     # -- introspection -------------------------------------------------------
 
     @property
-    def graph(self) -> NodeWeightedGraph | LinkWeightedDigraph:
+    def graph(self) -> NodeWeightedGraph:
         """The current topology snapshot (immutable; replaced on update)."""
         return self._graph
 
@@ -369,8 +364,9 @@ class PricingEngine:
 
     @property
     def model(self) -> str:
-        """``"node"`` or ``"link"``."""
-        return self._model
+        """Always ``"node"``: the cost model the engine serves (kept
+        on ``/healthz``, ``/v1/graph`` and in checkpoints)."""
+        return "node"
 
     @property
     def backend(self) -> str:
@@ -405,7 +401,7 @@ class PricingEngine:
 
     def graph_snapshot(
         self,
-    ) -> tuple[NodeWeightedGraph | LinkWeightedDigraph, int]:
+    ) -> tuple[NodeWeightedGraph, int]:
         """The current ``(graph, version)`` pair, read atomically.
 
         Reading ``eng.graph`` and ``eng.version`` separately can
@@ -429,7 +425,7 @@ class PricingEngine:
 
     def __repr__(self) -> str:
         return (
-            f"PricingEngine(model={self._model!r}, n={self.n}, "
+            f"PricingEngine(n={self.n}, "
             f"version={self._version}, spts={len(self._spts)}, "
             f"pairs={len(self._pairs)})"
         )
@@ -478,9 +474,9 @@ class PricingEngine:
         """VCG outcome for one request on the current snapshot.
 
         Served from the pair cache when a same-version entry exists;
-        otherwise computed (sharing cached endpoint SPTs in the node
-        model) and cached. Raises exactly what the stateless entry
-        points raise (:class:`~repro.errors.DisconnectedError`,
+        otherwise computed (sharing cached endpoint SPTs) and cached.
+        Raises exactly what the stateless entry points raise
+        (:class:`~repro.errors.DisconnectedError`,
         :class:`~repro.errors.MonopolyError` under
         ``on_monopoly="raise"``). Thread-safe: runs under the shared
         read lock, so concurrent calls never observe a half-applied
@@ -508,9 +504,8 @@ class PricingEngine:
         source = check_node_index(source, self._graph.n)
         target = check_node_index(target, self._graph.n)
         self._count("queries")
-        scheme = "vcg" if self._model == "node" else "link-vcg"
         if source == target:
-            return _empty_payment(source, target, scheme)
+            return _empty_payment(source, target)
         key = (source, target)
         with request_scope() as rid:
             t0 = time.perf_counter()
@@ -588,24 +583,15 @@ class PricingEngine:
 
     def _compute_pair(self, key: tuple[int, int]) -> UnicastPayment:
         source, target = key
-        if self._model == "node":
-            payment = fast_vcg_payments(
-                self._graph,
-                source,
-                target,
-                on_monopoly=self._on_monopoly,
-                backend=self._backend,
-                spt_source=self._spt_of(source),
-                spt_target=self._spt_of(target),
-            ).to_unicast_payment()
-        else:
-            payment = link_vcg_payments(
-                self._graph,
-                source,
-                target,
-                on_monopoly=self._on_monopoly,
-                backend=self._backend,
-            )
+        payment = fast_vcg_payments(
+            self._graph,
+            source,
+            target,
+            on_monopoly=self._on_monopoly,
+            backend=self._backend,
+            spt_source=self._spt_of(source),
+            spt_target=self._spt_of(target),
+        ).to_unicast_payment()
         self._store(key, payment)
         return payment
 
@@ -613,7 +599,7 @@ class PricingEngine:
         """Cache ``payment`` at the current version with the largest
         quantity it witnessed, the bound pair survival tests against.
 
-        Node model: ``max(lcp, max over relays k of ||P_{-k}||)``, each
+        That is ``max(lcp, max over relays k of ||P_{-k}||)``, each
         avoiding cost read back from its payment as
         ``p_k - c_k + lcp`` with the costs the pair was priced on. The
         payment was computed from the canonical sums as
@@ -623,16 +609,13 @@ class PricingEngine:
         500-node instances (``bench_engine._udg_instance`` seeds 2004
         and 7) and within 1.4e-16 relative on the rest, far inside the
         certificate's 1e-9 margin. A monopoly relay pays ``inf``, so its
-        pair never survives. Link model: ``inf`` — every link-model
-        update flushes the log anyway.
+        pair never survives.
         """
-        witnessed = math.inf
-        if self._model == "node":
-            lcp = payment.lcp_cost
-            costs = self._graph.costs
-            witnessed = max(
-                [lcp] + [p - costs[k] + lcp for k, p in payment.payments.items()]
-            )
+        lcp = payment.lcp_cost
+        costs = self._graph.costs
+        witnessed = max(
+            [lcp] + [p - costs[k] + lcp for k, p in payment.payments.items()]
+        )
         self._pairs[key] = (self._version, payment, float(witnessed))
 
     def price_many(
@@ -664,7 +647,6 @@ class PricingEngine:
         self, pairs: Iterable[tuple[int, int]]
     ) -> dict[tuple[int, int], UnicastPayment]:
         self._count("batches")
-        scheme = "vcg" if self._model == "node" else "link-vcg"
         with request_scope() as rid:
             t0 = time.perf_counter()
             out: dict[tuple[int, int], UnicastPayment] = {}
@@ -679,7 +661,7 @@ class PricingEngine:
                 seen.add(key)
                 self._count("queries")
                 if s == t:
-                    out[key] = _empty_payment(s, t, scheme)
+                    out[key] = _empty_payment(s, t)
                     continue
                 cached = self._lookup_pair(key)
                 if cached is not None:
@@ -717,90 +699,54 @@ class PricingEngine:
     def _price_batch_serial(
         self, todo: Sequence[tuple[int, int]]
     ) -> dict[tuple[int, int], UnicastPayment]:
-        if self._model == "link":
-            priced = {
-                (s, t): link_vcg_payments(
-                    self._graph,
-                    s,
-                    t,
-                    on_monopoly=self._on_monopoly,
-                    backend=self._backend,
-                )
-                for s, t in todo
-            }
-        else:
-            # Share (and grow) the engine's endpoint-SPT cache; count
-            # only the trees the batch reads.
-            shared = dict(self._spts)
-            priced = pairwise_vcg_payments(
-                self._graph,
-                todo,
-                on_monopoly=self._on_monopoly,
-                backend=self._backend,
-                spt_cache=shared,
-            )
-            for root in spt_roots(todo, self._backend):
-                if root in self._spts:
-                    self._count("spt_cache_hits")
-                else:
-                    self._count("spt_cache_misses")
-                    self._spts[root] = shared[root]
+        # Share (and grow) the engine's endpoint-SPT cache; count only
+        # the trees the batch reads.
+        shared = dict(self._spts)
+        priced = pairwise_vcg_payments(
+            self._graph,
+            todo,
+            on_monopoly=self._on_monopoly,
+            backend=self._backend,
+            spt_cache=shared,
+        )
+        for root in spt_roots(todo, self._backend):
+            if root in self._spts:
+                self._count("spt_cache_hits")
+            else:
+                self._count("spt_cache_misses")
+                self._spts[root] = shared[root]
         for key, payment in priced.items():
             self._store(key, payment)
         return priced
 
     # -- updates -------------------------------------------------------------
 
-    def update_cost(self, node_or_edge, value: float) -> int:
+    def update_cost(self, node: int, value: float) -> int:
         """Apply a declared-cost change; returns the new version.
 
-        Node model: ``node_or_edge`` is a node id and ``value`` its new
-        declared cost (the ``d |^i d_i`` operation). The update itself
-        only swaps the snapshot, drops the cached trees and logs the
-        change; cached pairs are fast-forwarded through the log lazily
-        at their next lookup (see the module docstring). Link model: ``node_or_edge`` is an
-        ``(u, v)`` arc (``inf`` drops it) and all caches are
-        conservatively invalidated via the version bump.
+        ``value`` is ``node``'s new declared cost (the ``d |^i d_i``
+        operation). The update itself only swaps the snapshot, drops
+        the cached trees and logs the change; cached pairs are
+        fast-forwarded through the log lazily at their next lookup (see
+        the module docstring).
 
-        An address that does not fit the model (an arc for a node-model
-        engine, a node id for a link-model one) raises
-        :class:`~repro.errors.InvalidRequestError`. A no-op change (same
-        value) leaves version and caches untouched. Thread-safe:
-        serializes through the write lock; in-flight queries finish
-        against the old snapshot first, then the new version is
-        published atomically.
+        A ``node`` that is not an integer id (a link-model ``(u, v)``
+        arc, say) raises :class:`~repro.errors.InvalidRequestError`.
+        A no-op change (same value) leaves version and caches
+        untouched. Thread-safe: serializes through the write lock;
+        in-flight queries finish against the old snapshot first, then
+        the new version is published atomically.
         """
         with self._rw.write_locked():
             self._check_open()
-            return self._update_cost_locked(node_or_edge, value)
+            return self._update_cost_locked(node, value)
 
-    def _update_cost_locked(self, node_or_edge, value: float) -> int:
-        if self._model == "link":
-            if isinstance(node_or_edge, numbers.Integral):
-                raise InvalidRequestError(
-                    f"a link-model update addresses an (u, v) arc, "
-                    f"got node {node_or_edge!r}"
-                )
-            u, v = node_or_edge
-            if self._graph.arc_weight(u, v) == float(value):
-                return self._version
-            self._graph = self._graph.with_arc_weight(u, v, value)
-            self._bump_update(flush_log=True)
-            _flight.record("update", version=self._version)
-            self._persist_append(
-                _persist_mod.update_record(
-                    "link", (u, v), value, self._version
-                )
-            )
-            self._update_gauges()
-            return self._version
-
-        if not isinstance(node_or_edge, numbers.Integral):
+    def _update_cost_locked(self, node, value: float) -> int:
+        if not isinstance(node, numbers.Integral):
             raise InvalidRequestError(
-                f"a node-model update addresses a node id, "
-                f"got {node_or_edge!r}"
+                f"a cost update addresses a node id, got {node!r}"
             )
-        node = check_node_index(node_or_edge, self._graph.n)
+        node = check_node_index(node, self._graph.n)
         old = float(self._graph.costs[node])
         value = float(value)
         if value == old:
@@ -810,18 +756,15 @@ class PricingEngine:
         self._log_update(_CostUpdate(node, old, value, self._graph))
         _flight.record("update", version=self._version, value=float(node))
         self._persist_append(
-            _persist_mod.update_record("node", node, value, self._version)
+            _persist_mod.update_record(node, value, self._version)
         )
         self._update_gauges()
         return self._version
 
-    def _bump_update(self, flush_log: bool = False) -> None:
+    def _bump_update(self) -> None:
         self._version += 1
         self._spts.clear()
         self._count("updates")
-        if flush_log:
-            self._log.clear()
-            self._log_floor = self._version
 
     def _log_update(self, upd: _CostUpdate) -> None:
         """Log the update that produced the current version, dropping
@@ -852,7 +795,7 @@ class PricingEngine:
             # endpoint that left (or joined) changes the answer itself.
             return not upd.topology
         dist = self._witness_of(upd)
-        # Node-model path costs are symmetric, so the witness distances
+        # Path costs are symmetric, so the witness distances
         # double as d_s[k] and d_t[k] for every cached endpoint.
         bound = float(dist[s]) + min(upd.old, upd.new) + float(dist[t])
         if not np.isfinite(witnessed):
@@ -868,18 +811,16 @@ class PricingEngine:
         return bound > witnessed + 1e-9 * max(1.0, abs(witnessed))
 
     def remove_node(self, node: int) -> int:
-        """Drop every edge/arc incident to ``node``; returns the new version.
+        """Drop every edge incident to ``node``; returns the new version.
 
         Node ids stay stable (the repo-wide convention — payments on the
         shrunken network refer to the same ids). The node itself remains
         as an isolated vertex; pricing to or from it raises
-        :class:`~repro.errors.DisconnectedError`. Node model: the
-        edges are masked out of the CSR in O(n + m) vector work, and
-        the leave is logged as the cost update ``c_k -> +inf``, so a
-        cached pair survives it when every path through the
-        node cost more than anything the pair witnessed; pairs with
-        the node as an endpoint are evicted. Link model: the version
-        bump lazily evicts every pair.
+        :class:`~repro.errors.DisconnectedError`. The edges are masked
+        out of the CSR in O(n + m) vector work, and the leave is logged
+        as the cost update ``c_k -> +inf``, so a cached pair survives it
+        when every path through the node cost more than anything the
+        pair witnessed; pairs with the node as an endpoint are evicted.
         Thread-safe (write lock).
         """
         with self._rw.write_locked():
@@ -888,21 +829,17 @@ class PricingEngine:
 
     def _remove_node_locked(self, node: int) -> int:
         node = check_node_index(node, self._graph.n)
-        if self._model == "link":
-            self._graph = self._graph.with_node_removed(node)
-            self._bump_update(flush_log=True)
-        else:
-            # The paper's ``d |^k inf``: the witness is rooted at ``node``
-            # on the snapshot where it still has its edges.
-            before = self._graph
-            self._graph = before.without_node(node)
-            self._bump_update()
-            self._log_update(
-                _CostUpdate(
-                    node, float(before.costs[node]), math.inf, before,
-                    topology=True,
-                )
+        # The paper's ``d |^k inf``: the witness is rooted at ``node`` on
+        # the snapshot where it still has its edges.
+        before = self._graph
+        self._graph = before.without_node(node)
+        self._bump_update()
+        self._log_update(
+            _CostUpdate(
+                node, float(before.costs[node]), math.inf, before,
+                topology=True,
             )
+        )
         _flight.record("topology", version=self._version, value=float(node))
         self._persist_append(
             _persist_mod.remove_record(node, self._version)
@@ -910,57 +847,34 @@ class PricingEngine:
         self._update_gauges()
         return self._version
 
-    def add_node(self, cost: float = 0.0, neighbors=(), arcs=()) -> int:
+    def add_node(self, cost: float = 0.0, neighbors=()) -> int:
         """Grow the snapshot by one node; returns the **new node's id**.
 
-        Node model: the node joins with declared ``cost`` and undirected
-        edges to ``neighbors`` (one ``np.insert`` into the CSR), logged
-        as the cost update ``+inf -> cost`` that the pair certificate
-        decides like any other. Link model: ``arcs`` are ``(u, v, w)``
-        triples incident to the new node (id ``n``), and the version
-        bump lazily evicts every pair. Passing the other model's edges
-        (``arcs`` to a node-model engine, ``neighbors`` to a link-model
-        one) raises :class:`~repro.errors.InvalidRequestError`.
-        Thread-safe (write lock).
+        The node joins with declared ``cost`` and undirected edges to
+        ``neighbors`` (one ``np.insert`` into the CSR), logged as the
+        cost update ``+inf -> cost`` that the pair certificate decides
+        like any other. Thread-safe (write lock).
         """
         with self._rw.write_locked():
             self._check_open()
-            return self._add_node_locked(cost, neighbors, arcs)
+            return self._add_node_locked(cost, neighbors)
 
-    def _add_node_locked(self, cost: float, neighbors, arcs) -> int:
+    def _add_node_locked(self, cost: float, neighbors) -> int:
         n = self._graph.n
         neighbors = list(neighbors)
-        arcs = list(arcs)
-        # Refuse what this model would otherwise silently drop.
-        if self._model == "node" and arcs:
-            raise InvalidRequestError(
-                "a node-model node joins with neighbors=, not arcs="
+        # A join lowers node ``n``'s cost from +inf; the witness is
+        # rooted at ``n`` on the snapshot that has its edges.
+        self._graph = self._graph.with_node(cost, neighbors)
+        self._bump_update()
+        self._log_update(
+            _CostUpdate(
+                n, math.inf, float(self._graph.costs[n]), self._graph,
+                topology=True,
             )
-        if self._model == "link" and neighbors:
-            raise InvalidRequestError(
-                "a link-model node joins with arcs=, not neighbors="
-            )
-        if self._model == "link":
-            self._graph = LinkWeightedDigraph(
-                n + 1, list(self._graph.arc_iter()) + arcs
-            )
-            self._bump_update(flush_log=True)
-        else:
-            # A join lowers node ``n``'s cost from +inf; the witness is
-            # rooted at ``n`` on the snapshot that has its edges.
-            self._graph = self._graph.with_node(cost, neighbors)
-            self._bump_update()
-            self._log_update(
-                _CostUpdate(
-                    n, math.inf, float(self._graph.costs[n]), self._graph,
-                    topology=True,
-                )
-            )
+        )
         _flight.record("topology", version=self._version, value=float(n))
         self._persist_append(
-            _persist_mod.add_record(
-                self._model, cost, neighbors, arcs, self._version
-            )
+            _persist_mod.add_record(cost, neighbors, self._version)
         )
         self._update_gauges()
         return n
@@ -986,7 +900,6 @@ class PricingEngine:
         return _persist_mod.CheckpointState(
             graph=self._graph,
             graph_version=self._version,
-            model=self._model,
             backend=self._backend,
             on_monopoly=self._on_monopoly,
         )

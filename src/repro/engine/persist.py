@@ -12,15 +12,22 @@ classic checkpoint + write-ahead-log pair:
   resulting engine ``version`` and a CRC-32 over the record's
   canonical JSON. Queries change no state and are never logged.
 * **Checkpoints.** ``checkpoint()`` writes the declared graph (via
-  :func:`repro.io.to_dict`), ``graph_version``, model, backend and
-  ``on_monopoly`` to ``checkpoint-<seq>.json`` (write to a temp file,
-  fsync, :func:`os.replace`), then rotates the WAL so the new
+  :func:`repro.io.to_dict`), ``graph_version``, model (always
+  ``"node"``), backend and ``on_monopoly`` to
+  ``checkpoint-<seq>.json`` (write to a temp file, fsync,
+  :func:`os.replace`), then rotates the WAL so the new
   checkpoint starts an empty tail; on demand and every
   ``checkpoint_every`` mutations. The SPT and pair caches are not
   written: a payment ``p_k = ||P_{-v_k}|| - ||P|| + c_k`` depends on
   the declared costs and topology alone, so a recovered engine
   rebuilds them at first use. Checkpoints from older builds also carry
   ``spts``/``pairs`` keys, which the decoder ignores.
+
+The engine serves the node model only. Older builds could also persist
+a link-model engine; its checkpoint (``"model": "link"``, a
+``link-digraph`` graph) and its WAL records (an ``update`` addressing
+an arc ``u``/``v``, an ``add_node`` with ``arcs``) raise
+:class:`PersistError` on recovery rather than being replayed.
 
 Recovery (:func:`load_state`, surfaced as
 ``PricingEngine.open(checkpoint_dir)``) loads the newest checkpoint
@@ -78,11 +85,10 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, ClassVar
 
 from repro import io as repro_io
 from repro.errors import PersistError, RecoveryError
-from repro.graph.link_graph import LinkWeightedDigraph
 from repro.graph.node_graph import NodeWeightedGraph
 from repro.io import SerializationError, _dec_float, _enc_float
 from repro.obs import logging as obs_logging
@@ -282,11 +288,12 @@ class CheckpointState:
     """Everything a checkpoint preserves of a live engine: the declared
     graph at ``graph_version`` and the engine's configuration."""
 
-    graph: NodeWeightedGraph | LinkWeightedDigraph
+    graph: NodeWeightedGraph
     graph_version: int
-    model: str
     backend: str
     on_monopoly: str
+    #: Written to every checkpoint so older builds still read it.
+    model: ClassVar[str] = "node"
 
 
 def _encode_state(state: CheckpointState) -> dict:
@@ -300,10 +307,18 @@ def _encode_state(state: CheckpointState) -> dict:
 
 
 def _decode_state(data: dict) -> CheckpointState:
+    graph = repro_io.from_dict(data["graph"])
+    if data["model"] != CheckpointState.model or not isinstance(
+        graph, NodeWeightedGraph
+    ):
+        raise PersistError(
+            f"checkpoint holds a {data['model']!r}-model engine over a "
+            f"{type(graph).__name__}; the engine serves the node model "
+            "only (price link-weighted graphs with repro.api.price_links)"
+        )
     return CheckpointState(
-        graph=repro_io.from_dict(data["graph"]),
+        graph=graph,
         graph_version=int(data["graph_version"]),
-        model=str(data["model"]),
         backend=str(data["backend"]),
         on_monopoly=str(data["on_monopoly"]),
     )
@@ -343,7 +358,9 @@ def read_checkpoint(path: str | Path) -> CheckpointState:
     unknown format tag, any envelope version other than
     :data:`CHECKPOINT_SCHEMA_VERSION`, a CRC mismatch, or a malformed
     payload — the conditions :func:`load_state` treats as "fall back to
-    an older checkpoint".
+    an older checkpoint" — and :class:`PersistError` on a valid
+    checkpoint of a link-model engine, which no older generation of
+    the same directory would fix.
     """
     path = Path(path)
     try:
@@ -651,7 +668,7 @@ def scan(root: str | Path) -> DirectoryScan:
             state = read_checkpoint(path)
             entry["graph_version"] = state.graph_version
             entry["model"] = state.model
-        except SerializationError as exc:
+        except (SerializationError, PersistError) as exc:
             entry["valid"] = False
             entry["error"] = str(exc)
         checkpoints.append(entry)
@@ -677,20 +694,11 @@ def scan(root: str | Path) -> DirectoryScan:
 # ---------------------------------------------------------------------------
 
 
-def update_record(model: str, node_or_edge, value: float, version: int) -> dict:
-    """WAL record for ``update_cost`` (either model)."""
-    if model == "link":
-        u, v = node_or_edge
-        return {
-            "kind": "update",
-            "u": int(u),
-            "v": int(v),
-            "value": _enc_float(float(value)),
-            "version": int(version),
-        }
+def update_record(node: int, value: float, version: int) -> dict:
+    """WAL record for ``update_cost``."""
     return {
         "kind": "update",
-        "node": int(node_or_edge),
+        "node": int(node),
         "value": _enc_float(float(value)),
         "version": int(version),
     }
@@ -701,18 +709,8 @@ def remove_record(node: int, version: int) -> dict:
     return {"kind": "remove_node", "node": int(node), "version": int(version)}
 
 
-def add_record(
-    model: str, cost: float, neighbors, arcs, version: int
-) -> dict:
-    """WAL record for ``add_node`` (either model)."""
-    if model == "link":
-        return {
-            "kind": "add_node",
-            "arcs": [
-                [int(u), int(v), _enc_float(float(w))] for u, v, w in arcs
-            ],
-            "version": int(version),
-        }
+def add_record(cost: float, neighbors, version: int) -> dict:
+    """WAL record for ``add_node``."""
     return {
         "kind": "add_node",
         "cost": _enc_float(float(cost)),
@@ -726,33 +724,24 @@ def apply_record(engine, record: dict) -> None:
 
     Using the very same code paths the original process ran is what
     makes recovery bit-identical — there is no second implementation of
-    "apply an update" to drift.
+    "apply an update" to drift. A link-model record from an older build
+    raises :class:`PersistError`.
     """
     kind = record.get("kind")
+    if kind in ("update", "add_node") and ("u" in record or "arcs" in record):
+        raise PersistError(
+            f"WAL {kind} record for version {record.get('version')} "
+            "addresses link-model arcs; the engine serves the node model "
+            "only"
+        )
     if kind == "update":
-        if "node" in record:
-            engine.update_cost(
-                int(record["node"]), _dec_float(record["value"])
-            )
-        else:
-            engine.update_cost(
-                (int(record["u"]), int(record["v"])),
-                _dec_float(record["value"]),
-            )
+        engine.update_cost(int(record["node"]), _dec_float(record["value"]))
     elif kind == "remove_node":
         engine.remove_node(int(record["node"]))
     elif kind == "add_node":
-        if "arcs" in record:
-            engine.add_node(
-                arcs=[
-                    (int(u), int(v), _dec_float(w))
-                    for u, v, w in record["arcs"]
-                ]
-            )
-        else:
-            engine.add_node(
-                cost=_dec_float(record["cost"]),
-                neighbors=[int(v) for v in record["neighbors"]],
-            )
+        engine.add_node(
+            cost=_dec_float(record["cost"]),
+            neighbors=[int(v) for v in record["neighbors"]],
+        )
     else:
         raise SerializationError(f"unknown WAL record kind {kind!r}")

@@ -222,10 +222,6 @@ def replay(
     if compare:
         from repro.core.vcg_unicast import vcg_unicast_payments
 
-        if engine.model != "node":
-            raise NotImplementedError(
-                "compare=True replay is node-model only"
-            )
         # Rebuild the graph sequence from scratch, stateless pricing only.
         g = g0
         idx = 0

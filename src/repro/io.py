@@ -352,21 +352,20 @@ UPDATE_OPS = ("cost", "add_node", "remove_node")
 class UpdateRequest:
     """``POST /v1/update`` body: one topology/cost mutation.
 
-    ``op="cost"`` re-declares a cost — ``node`` + ``value`` in the node
-    model, ``edge=[u, v]`` + ``value`` in the link model (exactly one of
-    ``node``/``edge`` given). ``op="remove_node"`` takes ``node``;
-    ``op="add_node"`` takes ``cost`` + ``neighbors`` (node model) or
-    ``arcs`` (link model), mirroring
-    :meth:`repro.engine.PricingEngine.add_node`.
+    ``op="cost"`` re-declares ``node``'s cost as ``value``;
+    ``op="remove_node"`` takes ``node``; ``op="add_node"`` takes
+    ``cost`` + ``neighbors``, mirroring
+    :meth:`repro.engine.PricingEngine.add_node`. The service prices
+    the node model only: the decoder refuses the link-model ``edge``
+    and ``arcs`` fields older clients could send unless they are
+    ``null``/empty (:func:`_refuse_link_fields`).
     """
 
     op: str
     node: int | None = None
     value: float | None = None
-    edge: tuple[int, int] | None = None
     cost: float = 0.0
     neighbors: tuple[int, ...] = ()
-    arcs: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.op not in UPDATE_OPS:
@@ -375,35 +374,17 @@ class UpdateRequest:
             )
         if self.node is not None:
             object.__setattr__(self, "node", node_id(self.node, "node"))
-        if self.edge is not None:
-            u, v = self.edge
-            object.__setattr__(
-                self, "edge", (node_id(u, "edge"), node_id(v, "edge"))
-            )
         object.__setattr__(
             self,
             "neighbors",
             tuple(node_id(v, "neighbors") for v in self.neighbors),
         )
-        object.__setattr__(
-            self,
-            "arcs",
-            tuple(
-                (node_id(u, "arcs"), node_id(v, "arcs"), float(w))
-                for u, v, w in self.arcs
-            ),
-        )
         if self.op == "cost":
             if self.value is None:
                 raise InvalidRequestError("op='cost' requires value")
             object.__setattr__(self, "value", _dec_float(self.value))
-            if (self.node is None) == (self.edge is None):
-                raise InvalidRequestError(
-                    "op='cost' takes exactly one of node= (node model) "
-                    "or edge= (link model)"
-                )
-        elif self.op == "remove_node" and self.node is None:
-            raise InvalidRequestError("op='remove_node' requires node")
+        if self.op in ("cost", "remove_node") and self.node is None:
+            raise InvalidRequestError(f"op={self.op!r} requires node")
 
 
 @dataclass(frozen=True)
@@ -439,12 +420,13 @@ class UpdateResponse:
 
 @dataclass(frozen=True)
 class GraphResponse:
-    """``GET /v1/graph``: the current snapshot, version, and model."""
+    """``GET /v1/graph``: the current snapshot and version. ``model``
+    is always ``"node"``, the one cost model the service prices."""
 
-    graph: NodeWeightedGraph | LinkWeightedDigraph
+    graph: NodeWeightedGraph
     graph_version: int
-    model: str
     request_id: str
+    model: str = "node"
 
 
 @dataclass(frozen=True)
@@ -493,23 +475,39 @@ def _update_request_to_dict(r: UpdateRequest) -> dict:
         "op": r.op,
         "node": r.node,
         "value": None if r.value is None else _enc_float(r.value),
-        "edge": None if r.edge is None else list(r.edge),
         "cost": float(r.cost),
         "neighbors": list(r.neighbors),
-        "arcs": [[u, v, w] for u, v, w in r.arcs],
     }
 
 
-def _update_request_from_dict(d: dict) -> UpdateRequest:
+def _refuse_link_fields(d: dict) -> None:
+    """Refuse a link-model ``edge`` (an arc cost update) or ``arcs`` (a
+    join over arcs) with :class:`InvalidRequestError`; ``"edge": null``
+    and ``"arcs": []`` pass. The ids in them are checked first, so a
+    non-integer id is a :class:`SerializationError` like anywhere else."""
     edge = d.get("edge")
+    arcs = d.get("arcs", ())
+    if edge is not None:
+        u, v = edge
+        node_id(u, "edge"), node_id(v, "edge")
+    for u, v, _ in arcs:
+        node_id(u, "arcs"), node_id(v, "arcs")
+    if edge is not None or arcs:
+        raise InvalidRequestError(
+            "the service prices the node model only: update a node's "
+            "cost with node=, join with neighbors=; edge= and arcs= "
+            "address link-model arcs"
+        )
+
+
+def _update_request_from_dict(d: dict) -> UpdateRequest:
+    _refuse_link_fields(d)
     return UpdateRequest(
         op=d["op"],
         node=d.get("node"),
         value=d.get("value"),
-        edge=None if edge is None else tuple(edge),
         cost=float(d.get("cost", 0.0)),
         neighbors=tuple(d.get("neighbors", ())),
-        arcs=tuple(tuple(a) for a in d.get("arcs", ())),
     )
 
 
@@ -577,8 +575,8 @@ def _graph_response_from_dict(d: dict) -> GraphResponse:
     return GraphResponse(
         graph=from_dict(d["graph"]),
         graph_version=int(d["graph_version"]),
-        model=str(d["model"]),
         request_id=str(d["request_id"]),
+        model=str(d["model"]),
     )
 
 

@@ -338,14 +338,11 @@ class ServiceServer:
     def handle_update(self, req: repro_io.UpdateRequest) -> dict:
         node: int | None = None
         if req.op == "cost":
-            target = req.node if req.node is not None else req.edge
-            version = self.service.update_cost(target, req.value)
+            version = self.service.update_cost(req.node, req.value)
         elif req.op == "remove_node":
             version = self.service.remove_node(req.node)
         else:  # "add_node" (op already validated by the envelope)
-            node = self.service.add_node(
-                cost=req.cost, neighbors=req.neighbors, arcs=req.arcs
-            )
+            node = self.service.add_node(cost=req.cost, neighbors=req.neighbors)
             version = self.service.engine.version
         return repro_io.to_wire(
             repro_io.UpdateResponse(
@@ -361,7 +358,6 @@ class ServiceServer:
             repro_io.GraphResponse(
                 graph=graph,
                 graph_version=version,
-                model=self.service.engine.model,
                 request_id=current_request_id() or "",
             )
         )

@@ -309,19 +309,19 @@ class PricingService:
 
     # -- updates (write-through; the engine's writer lock serializes) --------
 
-    def update_cost(self, node_or_edge, value: float) -> int:
+    def update_cost(self, node: int, value: float) -> int:
         """Apply a cost re-declaration; returns the published version."""
         self._check_admitting()
         t0 = time.perf_counter()
-        version = self._engine.update_cost(node_or_edge, value)
+        version = self._engine.update_cost(node, value)
         self._note_update(t0)
         return version
 
-    def add_node(self, cost: float = 0.0, neighbors=(), arcs=()) -> int:
+    def add_node(self, cost: float = 0.0, neighbors=()) -> int:
         """Grow the graph by one node; returns the new node's id."""
         self._check_admitting()
         t0 = time.perf_counter()
-        node = self._engine.add_node(cost=cost, neighbors=neighbors, arcs=arcs)
+        node = self._engine.add_node(cost=cost, neighbors=neighbors)
         self._note_update(t0)
         return node
 

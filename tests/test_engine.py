@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.link_vcg import link_vcg_payments
 from repro.core.vcg_unicast import vcg_unicast_payments
 from repro.engine import (
     PricingEngine,
@@ -27,7 +26,7 @@ from repro.engine.oracle import answer_key, verify
 from repro.errors import DisconnectedError, InvalidRequestError
 from repro.graph import generators as gen
 
-from conftest import biconnected_graphs, robust_digraphs
+from conftest import biconnected_graphs
 
 
 class TestInterleavingProperty:
@@ -259,20 +258,18 @@ class TestCaching:
             PricingEngine(random_graph, on_monopoly="shrug")
 
     def test_rejects_updates_addressed_to_the_other_model(
-        self, random_graph, random_digraph
+        self, random_graph
     ):
-        node_eng = PricingEngine(random_graph)
-        link_eng = PricingEngine(random_digraph)
+        eng = PricingEngine(random_graph)
         with pytest.raises(InvalidRequestError):
-            node_eng.update_cost((1, 2), 2.0)
-        with pytest.raises(InvalidRequestError):
-            node_eng.add_node(cost=1.0, arcs=[(0, random_graph.n, 1.0)])
-        with pytest.raises(InvalidRequestError):
-            link_eng.update_cost(3, 2.0)
-        with pytest.raises(InvalidRequestError):
-            link_eng.add_node(neighbors=[0, 1])
-        for eng, g in ((node_eng, random_graph), (link_eng, random_digraph)):
-            assert eng.version == 0 and eng.n == g.n
+            eng.update_cost((1, 2), 2.0)
+        with pytest.raises(TypeError):
+            eng.add_node(cost=1.0, arcs=[(0, random_graph.n, 1.0)])
+        assert eng.version == 0 and eng.n == random_graph.n
+
+    def test_link_weighted_digraph_is_refused(self, random_digraph):
+        with pytest.raises(TypeError, match="node model"):
+            PricingEngine(random_digraph)
 
 
 class TestTopologyThroughTheLog:
@@ -445,30 +442,6 @@ class TestPriceMany:
             assert answer_key(p) == answer_key(want)
 
 
-class TestLinkModel:
-    @given(robust_digraphs(max_nodes=12))
-    @settings(max_examples=10)
-    def test_price_matches_stateless(self, dg):
-        eng = PricingEngine(dg, on_monopoly="inf")
-        assert eng.model == "link"
-        got = eng.price(dg.n - 1, 0)
-        want = link_vcg_payments(dg, dg.n - 1, 0, on_monopoly="inf")
-        assert got.path == want.path
-        assert dict(got.payments) == dict(want.payments)
-
-    def test_arc_update_reprices(self, random_digraph):
-        eng = PricingEngine(random_digraph, on_monopoly="inf")
-        before = eng.price(7, 0)
-        u, v = before.path[0], before.path[1]
-        w = random_digraph.arc_weight(u, v)
-        eng.update_cost((u, v), w + 50.0)
-        after = eng.price(7, 0)
-        want = link_vcg_payments(eng.graph, 7, 0, on_monopoly="inf")
-        assert after.path == want.path
-        assert dict(after.payments) == dict(want.payments)
-        assert eng.stats.stale_evictions >= 1
-
-
 class TestWorkload:
     def test_generation_is_deterministic(self, random_graph):
         a = generate_workload(random_graph, n_ops=50, seed=3)
@@ -525,11 +498,6 @@ class TestWorkload:
         report = replay(PricingEngine(random_graph, on_monopoly="inf"), ops)
         assert report.naive_elapsed is None
         assert np.isnan(report.speedup)
-
-    def test_compare_is_node_model_only(self, random_digraph):
-        eng = PricingEngine(random_digraph, on_monopoly="inf")
-        with pytest.raises(NotImplementedError):
-            replay(eng, [WorkloadOp.price(3, 0)], compare=True)
 
 
 class TestMetricsMirror:

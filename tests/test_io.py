@@ -279,10 +279,8 @@ class TestWireEnvelopes:
 
         for req in (
             UpdateRequest(op="cost", node=3, value=7.5),
-            UpdateRequest(op="cost", edge=(1, 2), value=4.0),
             UpdateRequest(op="remove_node", node=5),
             UpdateRequest(op="add_node", cost=1.0, neighbors=(0, 1)),
-            UpdateRequest(op="add_node", arcs=((0, 9, 2.0), (9, 0, 2.0))),
         ):
             assert from_wire(to_wire(req)) == req
         with pytest.raises(InvalidRequestError, match="op"):
@@ -290,9 +288,36 @@ class TestWireEnvelopes:
         with pytest.raises(InvalidRequestError):
             UpdateRequest(op="cost", node=1)  # missing value
         with pytest.raises(InvalidRequestError):
-            UpdateRequest(op="cost", node=1, edge=(1, 2), value=3.0)
+            UpdateRequest(op="cost", value=3.0)  # missing node
         with pytest.raises(InvalidRequestError):
             UpdateRequest(op="remove_node")
+
+    def test_update_request_refuses_link_model_fields(self):
+        from repro.errors import InvalidRequestError
+        from repro.io import UpdateRequest, from_wire
+
+        def doc(**data):
+            return {"format": "update-request", "schema_version": 1,
+                    "data": data}
+
+        # What older clients send alongside a node-model update.
+        assert from_wire(
+            doc(op="cost", node=3, value=7.5, edge=None, arcs=[])
+        ) == UpdateRequest(op="cost", node=3, value=7.5)
+        for data in (
+            {"op": "cost", "edge": [1, 2], "value": 4.0},
+            {"op": "cost", "node": 1, "edge": [1, 2], "value": 3.0},
+            {"op": "add_node", "arcs": [[0, 9, 2.0], [9, 0, 2.0]]},
+        ):
+            with pytest.raises(InvalidRequestError, match="node model"):
+                from_wire(doc(**data))
+        for data in (
+            {"op": "cost", "edge": [1, 2.5], "value": 4.0},
+            {"op": "add_node", "arcs": [[0, True, 2.0]]},
+            {"op": "add_node", "arcs": None},
+        ):
+            with pytest.raises(SerializationError):
+                from_wire(doc(**data))
 
     def test_response_round_trips(self, random_graph):
         from repro.io import (

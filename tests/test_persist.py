@@ -369,6 +369,58 @@ class TestCorruptionTolerance:
         assert again.version == twin.version
 
 
+class TestLinkModelStateRefused:
+    """The engine serves the node model only. State an older build
+    wrote for a link-model engine raises a typed :class:`PersistError`
+    on open, never a bare ``TypeError`` from the constructor, and
+    leaves the directory as it found it."""
+
+    @pytest.mark.parametrize("model", ["link", "node"])
+    def test_link_digraph_checkpoint(self, tmp_path, model):
+        dg = gen.random_robust_digraph(12, seed=3)
+        data = {
+            "graph": repro_io.to_dict(dg),
+            "graph_version": 0,
+            "model": model,
+            "backend": "auto",
+            "on_monopoly": "inf",
+        }
+        root = tmp_path / "state"
+        root.mkdir()
+        path = root / "checkpoint-00000001.json"
+        path.write_text(json.dumps({
+            "format": persist.CHECKPOINT_FORMAT,
+            "version": persist.CHECKPOINT_SCHEMA_VERSION,
+            "crc": persist._crc_of(data),
+            "data": data,
+        }))
+        with pytest.raises(persist.PersistError, match="node model"):
+            PricingEngine.open(root)
+        assert sorted(p.name for p in root.iterdir()) == [path.name]
+        (entry,) = persist.scan(root).checkpoints
+        assert not entry["valid"] and "node model" in entry["error"]
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"kind": "update", "u": 1, "v": 2, "value": 4.0, "version": 1},
+            {"kind": "add_node", "arcs": [[0, 20, 1.0], [20, 0, 1.0]],
+             "version": 1},
+        ],
+        ids=["update-arc", "add-node-arcs"],
+    )
+    def test_link_wal_record(self, tmp_path, record):
+        durable_engine(tmp_path).close()
+        root = tmp_path / "state"
+        w = persist.WalWriter(persist.list_wals(root)[-1], fsync="never")
+        w.append(record)
+        w.close()
+        before = sorted(p.name for p in root.iterdir())
+        with pytest.raises(persist.PersistError, match="node model"):
+            PricingEngine.open(root)
+        assert sorted(p.name for p in root.iterdir()) == before
+
+
 class TestPrefixProperty:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12))
     @settings(max_examples=10, deadline=None)
