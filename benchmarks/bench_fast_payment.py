@@ -66,7 +66,7 @@ def test_fast_beats_naive_at_scale(benchmark, scale):
     the comparison is dominated by constants.)
     """
     sizes = (200, 400) if not scale.full else (200, 400, 800)
-    # Warm-up: first calls pay scipy-import and allocation costs.
+    # Warm-up: first calls pay the cached arc arrays and allocations.
     g0, s0, t0_ = _sparse_instance(50)
     vcg_unicast_payments(g0, s0, t0_, method="fast")
     vcg_unicast_payments(g0, s0, t0_, method="naive")

@@ -78,7 +78,7 @@ def test_disabled_overhead_under_5_percent(benchmark):
     REGISTRY.disable()
     TRACER.disable()
 
-    fast_vcg_payments(g, s, t)  # warm-up (scipy import, allocations)
+    fast_vcg_payments(g, s, t)  # warm-up (cached arc arrays, allocations)
     t_disabled = _best_of(lambda: fast_vcg_payments(g, s, t))
 
     site = _noop_site_cost()

@@ -118,7 +118,7 @@ def test_service_load_zero_mismatches(benchmark, scale):
     """The PR's acceptance criterion, measured end to end."""
     requests_per_reader = 600 if scale.full else 150
     g = _udg_instance()
-    # Pay one-time costs (scipy import, CSR build) outside the loop.
+    # Pay one-time costs (cached arc arrays) outside the loop.
     vcg_unicast_payments(g, 1, 0, method="fast", on_monopoly="inf")
 
     records, updates, stats, elapsed = _closed_loop(g, requests_per_reader)

@@ -737,8 +737,9 @@ def _cmd_engine(args) -> int:
     if args.save_trace is not None:
         save_trace(ops, args.save_trace)
         print(f"wrote {len(ops)} ops to {args.save_trace}")
-    # Pay one-time costs (scipy import, first allocations) outside the
-    # timed replay so the engine-vs-naive comparison is about pricing.
+    # Pay one-time costs (the graph's cached arc arrays, first
+    # allocations) outside the timed replay so the engine-vs-naive
+    # comparison is about pricing.
     from repro.graph.dijkstra import node_weighted_spt
 
     node_weighted_spt(g, 0, backend="auto")

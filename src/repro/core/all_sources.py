@@ -16,8 +16,9 @@ The subtrees hanging under the nodes of one depth ``h`` of the tree are
 disjoint, so one Dijkstra solves all of them: glue them into one graph
 (arcs ``y -> z`` inside one subtree, weight ``c_y``), seed every node
 ``y`` from its neighbours ``x`` outside its subtree (other than ``k``)
-with ``d(x) + c_x``, and run one scipy Dijkstra from
-a virtual source. That gives ``d_{-k}(i)`` for every relay ``k`` at
+with ``d(x) + c_x``, and run one
+:func:`~repro.graph.dijkstra.relax_arcs` solve from those seeds. That
+gives ``d_{-k}(i)`` for every relay ``k`` at
 depth ``h`` and every source ``i`` below it. ``SPT(target)`` plus one
 solve per depth prices every source, with no source tree at all.
 
@@ -42,7 +43,7 @@ from repro.core.mechanism import (
     resolve_monopoly_policy,
 )
 from repro.errors import DisconnectedError, MonopolyError, ReproError
-from repro.graph.dijkstra import node_weighted_spt
+from repro.graph.dijkstra import node_weighted_spt, relax_arcs
 from repro.graph.node_graph import NodeWeightedGraph
 from repro.graph.spt import ShortestPathTree
 from repro.obs.metrics import REGISTRY as _metrics
@@ -161,11 +162,8 @@ def _depth_solve(
     below: dict[int, int],
 ) -> dict[tuple[int, int], float]:
     """``||P_{-k}(i)||`` for every ``i -> k`` of ``below`` (source ->
-    its relay at this depth), from one Dijkstra over the glued subtrees
-    of those relays."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
+    its relay at this depth), from one relaxation solve over the glued
+    subtrees of those relays."""
     target = spt.root
     # Region: every relay's subtree without the relay itself, which is a
     # contiguous run of the preorder; lab[y] is y's relay, -1 outside.
@@ -205,18 +203,21 @@ def _depth_solve(
     first[1:] = tail[hit[1:]] != tail[hit[:-1]]
     seed_arg = np.full(nr, -1, dtype=np.int64)
     seed_arg[loc[tail[hit[first]]]] = head[hit[first]]
-    seeded = np.flatnonzero(np.isfinite(seed))
 
-    # Arc y -> z weighs c_y: z's avoiding path runs through y. csr_matrix
-    # would sum duplicate entries; there are none (one seed per node, a
-    # simple graph). An exact 0 would read as a missing arc: nudge it.
-    rows = np.concatenate([loc[tail[inside]], np.full(seeded.shape[0], nr)])
-    cols = np.concatenate([loc[head[inside]], seeded])
-    data = np.concatenate([g.costs[tail[inside]], seed[seeded]])
-    data[data <= 0.0] = 1e-300
-    matrix = csr_matrix((data, (rows, cols)), shape=(nr + 1, nr + 1))
-    dist, pred = sp_dijkstra(
-        matrix, directed=True, indices=nr, return_predecessors=True
+    # Arc y -> z weighs c_y: z's avoiding path runs through y. The arcs
+    # are grouped by tail in region order, so the inside ones are the
+    # glued subtrees' CSR.
+    indptr = np.zeros(nr + 1, dtype=np.int64)
+    np.cumsum(np.bincount(loc[tail[inside]], minlength=nr), out=indptr[1:])
+    dist = seed  # solved in place
+    pred = np.full(nr, -1, dtype=np.int64)
+    relax_arcs(
+        indptr,
+        loc[head[inside]],
+        g.costs[tail[inside]],
+        dist,
+        pred,
+        np.flatnonzero(np.isfinite(dist)),
     )
     dist, pred = dist.tolist(), pred.tolist()
     region, seed_arg, loc = region.tolist(), seed_arg.tolist(), loc.tolist()
@@ -230,7 +231,7 @@ def _depth_solve(
         # The witness: predecessors back to the seeded node, its seed
         # neighbour x, then x's SPT(target) path.
         witness = []
-        while pred[j] != nr:
+        while pred[j] >= 0:
             j = pred[j]
             witness.append(region[j])
         x = seed_arg[j]

@@ -72,19 +72,20 @@ following the same convention as :mod:`repro.graph.dijkstra`:
 * ``backend="python"`` — per-node/per-edge Python loops and one heap
   Dijkstra per region. The reference the property tests treat as the
   oracle.
-* any other backend (``"auto"``, ``"scipy"``, ``"numpy"``) — the step-2
-  region bucketing, the step-5 crossing-edge table and the step-3/4
-  boundary/closing scans run as whole-array numpy expressions over the
-  CSR adjacency (``arc_sources()``/``indices`` expansion plus ``levels``
-  fancy indexing), and every region's Dijkstra runs in one scipy call.
-  ``"numpy"`` additionally forces the pure-Python SPT builder, which
-  makes it the apples-to-apples vectorized counterpart of ``"python"``
-  in kernel benchmarks and exact-agreement tests.
+* any other backend — the step-2 region bucketing, the step-5
+  crossing-edge table and the step-3/4 boundary/closing scans run as
+  whole-array numpy expressions over the CSR adjacency
+  (``arc_sources()``/``indices`` expansion plus ``levels`` fancy
+  indexing), and every region's Dijkstra runs in one
+  :func:`~repro.graph.dijkstra.relax_arcs` solve. ``"numpy"``
+  additionally forces the pure-Python SPT builder, which makes it the
+  apples-to-apples vectorized counterpart of ``"python"`` in kernel
+  benchmarks and exact-agreement tests.
 
 This module prices one pair. :func:`repro.core.allpairs.pairwise_vcg_payments`
-sends the sources of a shared target to the all-sources batch under
-``"auto"``/``"scipy"`` instead; ``"python"`` and ``"numpy"`` keep
-Algorithm 1 for every pair, as the comparators.
+sends the sources of a shared target to the all-sources batch instead;
+``"python"`` and ``"numpy"`` keep Algorithm 1 for every pair, as the
+comparators.
 
 Both kernels produce bit-identical answers: the minima they compute do
 not depend on evaluation order, ties pick the first candidate in the
@@ -107,7 +108,7 @@ from repro.core.mechanism import (
     spt_backend_for,
 )
 from repro.errors import DisconnectedError, MonopolyError
-from repro.graph.dijkstra import node_weighted_spt
+from repro.graph.dijkstra import node_weighted_spt, relax_arcs
 from repro.graph.node_graph import NodeWeightedGraph
 from repro.graph.spt import ShortestPathTree
 from repro.obs.metrics import REGISTRY as _metrics
@@ -595,9 +596,9 @@ def _regions_numpy(
 ) -> tuple[np.ndarray, dict[int, tuple], int, int]:
     """Steps 3-4, vectorized: mask + argsort bucketing instead of the
     per-node loop, shared closure arrays instead of per-member neighbour
-    scans, and *one* batched scipy Dijkstra covering every region at
-    once (regions are disjoint, so the merged call does the same bounded
-    one-pass-over-the-edge-set work the per-region Dijkstras did).
+    scans, and *one* relaxation solve covering every region at once
+    (regions are disjoint, so the merged solve relaxes only the
+    region-internal arcs the per-region Dijkstras did).
     Witnesses as in :func:`_regions_python`."""
     c_minus = np.full(s, np.inf)  # c^{-l}, indexed by l (entries 1..s-1)
     mask = (levels >= 1) & (levels <= s - 1) & ~on_path
@@ -611,9 +612,7 @@ def _regions_numpy(
     members_all = members_all[order]
     member_levels = levels[members_all]
     run_breaks = np.nonzero(np.diff(member_levels))[0] + 1
-    dist, pred = _region_distances_scipy(
-        g, mask, levels, members_all, best_hi
-    )
+    dist, pred = _region_distances(g, mask, levels, members_all, best_hi)
     # Step 4: close every region node through its cheapest lower-level
     # neighbour; min per level-contiguous group. Unreached nodes carry
     # dist=inf and nodes without a lower neighbour carry best_lo=inf, so
@@ -624,8 +623,7 @@ def _regions_numpy(
     group_min = np.minimum.reduceat(vals, group_starts)
     c_minus[member_levels[group_starts]] = group_min
     # One witness per finite level: its first minimal member, walked back
-    # along the region predecessors (local indices; the virtual source is
-    # index ``nm``) to the seeded node.
+    # along the region predecessors to the seeded node.
     nm = members_all.shape[0]
     witnesses: dict[int, tuple] = {}
     group_ends = np.append(group_starts[1:], nm)
@@ -638,64 +636,47 @@ def _regions_numpy(
         x = int(members_all[k])
         u = _first_min_neighbor(g, vals_lo, x, best_lo[x])
         chain = [x]
-        while pred[k] != nm:
-            k = int(pred[k])
-            chain.append(int(members_all[k]))
+        while pred[x] >= 0:
+            x = int(pred[x])
+            chain.append(x)
         y = _first_min_neighbor(g, vals_hi, chain[-1], best_hi[chain[-1]])
         witnesses[int(member_levels[lo])] = (u, chain, y)
     return c_minus, witnesses, int(nm), int(group_starts.shape[0])
 
 
-def _region_distances_scipy(
+def _region_distances(
     g: NodeWeightedGraph,
     mask: np.ndarray,
     levels: np.ndarray,
     members: np.ndarray,
     best_hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All the step-3 boundary Dijkstras in a single scipy call.
+    """All the step-3 boundary Dijkstras in one :func:`relax_arcs` solve.
 
     Regions are pairwise disjoint and only region-internal edges are
-    relaxed, so gluing them into one graph — region nodes, arcs kept
-    only when both endpoints share a level, one virtual source whose
-    out-arcs carry each member's seed ``c_x + best_hi[x]`` — leaves the
-    regions disconnected from each other, and one Dijkstra from the
-    virtual source computes every region's ``R~^{-l}`` vector at once.
-    Returns the distances and scipy's predecessors, both indexed like
-    ``members`` (the virtual source is index ``len(members)``).
+    relaxed, so gluing them into one graph — the arcs whose endpoints
+    are region nodes of one level, each member seeded with
+    ``c_x + best_hi[x]`` — leaves the regions disconnected from each
+    other, and one solve computes every region's ``R~^{-l}`` vector at
+    once. Returns the distances, indexed like ``members``, and the
+    predecessors over node ids (``-1`` for a seeded node).
 
     The distances pick the minima; the reported avoiding costs are the
-    canonical sums over the witness paths these predecessors trace, so
-    the order scipy adds in does not reach the answer. Zero weights use
-    the same ``1e-300`` arc nudge / ``<1e-250`` clip convention as the
-    scipy SPT backend (an exact 0 in CSR data reads as a missing arc).
+    canonical sums over the witness paths these predecessors trace.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    nm = members.shape[0]
-    loc = np.full(g.n, -1, dtype=np.int64)
-    loc[members] = np.arange(nm, dtype=np.int64)
     src = g.arc_sources()
-    dst = g.indices
-    keep = mask[src] & mask[dst]
-    keep &= levels[src] == levels[dst]
-    rows = loc[src[keep]]
-    cols = loc[dst[keep]]
-    data = g.costs[dst[keep]].copy()  # relax by head cost, as the oracle
-    seed_idx = np.nonzero(np.isfinite(best_hi[members]))[0]
-    seed_w = (g.costs[members] + best_hi[members])[seed_idx]
-    rows = np.concatenate([rows, np.full(seed_idx.shape[0], nm)])
-    cols = np.concatenate([cols, seed_idx])
-    data = np.concatenate([data, seed_w])
-    data[data <= 0.0] = 1e-300
-    matrix = csr_matrix((data, (rows, cols)), shape=(nm + 1, nm + 1))
-    dist, pred = sp_dijkstra(
-        matrix, directed=True, indices=nm, return_predecessors=True
-    )
-    dist = dist[:nm]
-    dist[dist < 1e-250] = 0.0
-    return dist, pred[:nm]
+    keep = mask[src] & mask[g.indices]
+    keep &= levels[src] == levels[g.indices]
+    heads = g.indices[keep]
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[keep], minlength=g.n), out=indptr[1:])
+    dist = np.full(g.n, np.inf)
+    pred = np.full(g.n, -1, dtype=np.int64)
+    seeds = members[np.isfinite(best_hi[members])]
+    dist[seeds] = g.costs[seeds] + best_hi[seeds]
+    # Relax by head cost, as the oracle.
+    relax_arcs(indptr, heads, g.costs[heads], dist, pred, seeds)
+    return dist[members], pred
 
 
 def _crossing_edges_numpy(

@@ -29,8 +29,9 @@ __all__ = [
 ]
 
 #: Every kernel backend a pricing entry point accepts. ``"auto"`` picks
-#: the compiled scipy path when available; ``"python"`` is the scalar
-#: oracle; ``"numpy"`` runs the vectorized Algorithm-1 kernels over the
+#: the vectorized path (for the node model ``"scipy"`` is the same path;
+#: see :mod:`repro.graph.dijkstra`); ``"python"`` is the scalar oracle;
+#: ``"numpy"`` runs the vectorized Algorithm-1 kernels over the
 #: pure-Python SPT builder (see :mod:`repro.core.fast_payment`).
 BACKENDS: tuple[str, ...] = ("auto", "python", "scipy", "numpy")
 

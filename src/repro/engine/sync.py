@@ -26,8 +26,8 @@ read side.
 The implementation is a single :class:`threading.Condition` over four
 counters — deliberately boring; the engine's correctness argument
 (docs/service.md) leans on this lock being obviously right, not fast.
-Under CPython the pricing hot path spends its time in NumPy/SciPy
-kernels anyway, so a fancier lock would buy nothing.
+Under CPython the pricing hot path spends its time in NumPy kernels
+anyway, so a fancier lock would buy nothing.
 """
 
 from __future__ import annotations

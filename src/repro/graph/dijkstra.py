@@ -1,4 +1,4 @@
-"""Dijkstra shortest paths for both graph models, with two backends.
+"""Dijkstra shortest paths for both graph models.
 
 Backends
 --------
@@ -8,19 +8,27 @@ Backends
     supports a ``forbidden`` node mask directly. This is the reference
     implementation the property tests trust.
 
-``"scipy"``
-    ``scipy.sparse.csgraph.dijkstra`` on a cached sparse matrix — the
-    compiled path used by the evaluation sweeps (per the HPC guides:
-    after the algorithmic work is done, push the inner loop into
-    compiled code). Node-weighted graphs go through the directed
-    tail-cost edge-weight transform, which reproduces the python
-    backend's ``dist`` floats bit-for-bit.
-
 ``"auto"``
-    Node model: ``scipy`` for every tree without a ``forbidden`` mask,
-    at any graph size (batched in :func:`node_weighted_spt_many`), and
-    ``python`` for masked trees. Link model: ``scipy`` without a mask
-    from 64 nodes up, else ``python``.
+    Node model: :func:`relax_arcs`, a vectorized numpy frontier
+    relaxation over the CSR arcs with the tail-cost weights
+    (:meth:`~repro.graph.node_graph.NodeWeightedGraph.arc_tail_costs`),
+    for every tree without a ``forbidden`` mask; masked trees run the
+    heap. It reproduces the heap's ``dist`` floats bit for bit. A solve
+    deeper than its round bound (Θ(√n) rounds; a 2-D deployment at
+    constant density is Θ(√n) hops deep) hands off to one
+    ``scipy.sparse.csgraph.dijkstra`` call, the only way the node model
+    imports scipy. Link model: scipy Dijkstra on the cached CSR without
+    a mask from 64 nodes up, else ``python``.
+
+``"scipy"``
+    Node model: the same path as ``"auto"`` (there is one vectorized
+    node-model solver). Link model: scipy Dijkstra whenever no mask is
+    given.
+
+The node model's vectorized solves — these trees, the step-3 regions of
+Algorithm 1 (:mod:`repro.core.fast_payment`) and the per-depth solves of
+the all-sources batch (:mod:`repro.core.all_sources`) — all run
+:func:`relax_arcs`, so serving the node model does not load scipy.
 
 Canonical node-model trees
 --------------------------
@@ -34,7 +42,7 @@ already bit-identical across backends, so the tree — and every path
 read off it — is a function of the graph alone. Link-model trees keep
 their solver's parents.
 
-All functions return a :class:`~repro.graph.spt.ShortestPathTree`.
+The tree builders return a :class:`~repro.graph.spt.ShortestPathTree`.
 Distances follow the owning model's convention: *internal node cost* for
 :class:`NodeWeightedGraph` and *total arc weight* for
 :class:`LinkWeightedDigraph`.
@@ -42,6 +50,7 @@ Distances follow the owning model's convention: *internal node cost* for
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -62,6 +71,7 @@ __all__ = [
     "shortest_path_tree",
     "node_weighted_distance",
     "link_weighted_distance",
+    "relax_arcs",
 ]
 
 _BACKENDS = ("auto", "python", "scipy")
@@ -105,11 +115,138 @@ def _flush_python_counters(pushes: int, pops: int, relaxations: int) -> None:
 
 
 def _flush_scipy_counters(dist: np.ndarray) -> None:
-    """Record one compiled-backend run (no per-op counts are visible)."""
+    """Record one compiled link-model run (no per-op counts are visible).
+    ``dijkstra.scipy_runs`` counts every scipy Dijkstra call: these and
+    the node model's hand-offs (see :func:`relax_arcs`)."""
     if _metrics.enabled:
         _metrics.add("dijkstra.runs", 1)
         _metrics.add("dijkstra.scipy_runs", 1)
         _metrics.add("dijkstra.settled_nodes", int(np.isfinite(dist).sum()))
+
+
+# ---------------------------------------------------------------------------
+# Frontier relaxation kernel
+# ---------------------------------------------------------------------------
+
+
+def _handoff_rounds(n: int) -> int:
+    """Relaxation rounds a solve over ``n`` nodes may take before it
+    hands off to a compiled Dijkstra. A round settles one more hop of
+    every shortest path, and a 2-D deployment at constant density has
+    hop depth Θ(√n), so the bound grows as √n."""
+    return 16 + 2 * math.isqrt(n)
+
+
+def relax_arcs(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    dist: np.ndarray,
+    pred: np.ndarray | None,
+    frontier: np.ndarray,
+) -> None:
+    """Shortest paths from seeded labels, in place, by frontier relaxation.
+
+    ``(indptr, indices)`` is a CSR adjacency over ``len(dist)`` nodes and
+    ``weights[k]`` the weight of arc ``k``. On entry ``dist`` holds the
+    seed labels (``inf`` elsewhere), ``pred`` the seeds' predecessors
+    (``-1`` for none) and ``frontier`` the seeded nodes to relax first.
+    Each round relaxes the arcs out of the nodes whose label changed in
+    the previous round, ``dist[head] = min(dist[head], dist[tail] + w)``
+    (``np.minimum.at`` over the candidates, a boolean changed-mask for
+    the next frontier), until no label changes. On exit ``dist[x]`` is
+    the least ``seed + arc weights`` over every walk to ``x``, added left
+    to right: the floats a heap Dijkstra from the same seeds computes,
+    bit for bit, since float addition of non-negatives is monotone.
+
+    ``pred`` is tight (``dist[x] == dist[pred[x]] + w`` over that arc)
+    and acyclic: a node only takes a predecessor whose label changed in
+    an earlier round, and a later change of that label either relaxes
+    the node again or leaves the same sum. A node keeps its seed
+    predecessor unless a walk beats its seed. Zero weights need no
+    special care. ``pred=None`` skips the predecessors.
+
+    A solve that passes :func:`_handoff_rounds` rounds (a deep graph,
+    such as a long path) finishes in one
+    ``scipy.sparse.csgraph.dijkstra`` call instead, seeded from the
+    current labels through a virtual source, so its worst case stays
+    that of Dijkstra; scipy is imported only then
+    (``dijkstra.handoffs`` counts these).
+    """
+    n = dist.shape[0]
+    bound = _handoff_rounds(n)
+    rounds = relaxations = 0
+    changed = np.zeros(n, dtype=bool)
+    # Per round: the arcs out of the frontier, as the CSR rows'
+    # offsets plus 0, 1, ... within each row. Method calls, in-place
+    # adds and the preallocated ramp keep the per-round overhead low.
+    starts, degrees = indptr[:-1], np.diff(indptr)
+    ramp = np.arange(indices.shape[0], dtype=np.int64)
+    while frontier.shape[0]:
+        if rounds == bound:
+            _handoff(indptr, indices, weights, dist, pred)
+            break
+        rounds += 1
+        deg = degrees[frontier]
+        ends = deg.cumsum()
+        arc = (starts[frontier] - ends + deg).repeat(deg)
+        arc += ramp[: ends[-1]]
+        relaxations += arc.shape[0]
+        head = indices[arc]
+        cand = dist[frontier].repeat(deg)
+        cand += weights[arc]
+        better = (cand < dist[head]).nonzero()[0]
+        head, cand = head[better], cand[better]
+        np.minimum.at(dist, head, cand)
+        if pred is not None:
+            hit = cand == dist[head]
+            pred[head[hit]] = frontier.repeat(deg)[better[hit]]
+        changed[head] = True
+        frontier = changed.nonzero()[0]
+        changed[frontier] = False
+    if _metrics.enabled:
+        _metrics.add("dijkstra.relax_rounds", rounds)
+        _metrics.add("dijkstra.edge_relaxations", relaxations)
+
+
+def _handoff(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    dist: np.ndarray,
+    pred: np.ndarray | None,
+) -> None:
+    """Finish a :func:`relax_arcs` solve with one scipy Dijkstra from a
+    virtual source ``n`` whose arc to every labelled node weighs its
+    label. ``0 + label`` is the label, so every distance is still a left
+    to right sum along a real walk from a seed. A node the solve does not
+    improve keeps its predecessor, which stays tight; an improved one
+    takes scipy's, a real node. Explicit zeros in the CSR data are arcs
+    to scipy, so zero weights and zero labels are passed as they are."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+
+    n = dist.shape[0]
+    seeded = np.flatnonzero(np.isfinite(dist))
+    matrix = csr_matrix(
+        (
+            np.concatenate([weights, dist[seeded]]),
+            np.concatenate([indices, seeded]),
+            np.append(indptr, indptr[-1] + seeded.shape[0]),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    out = sp_dijkstra(
+        matrix, directed=True, indices=n, return_predecessors=pred is not None
+    )
+    solved = out if pred is None else out[0]
+    improved = np.flatnonzero(solved[:n] < dist)
+    dist[improved] = solved[improved]
+    if pred is not None:
+        pred[improved] = out[1][improved]
+    if _metrics.enabled:
+        _metrics.add("dijkstra.handoffs", 1)
+        _metrics.add("dijkstra.scipy_runs", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +303,10 @@ def node_weighted_spt(
     at a forbidden node is an error. ``parent`` is canonical (see the
     module docstring): every backend returns the same tree.
 
-    ``backend="auto"`` builds with scipy unless a ``forbidden`` mask is
-    given; masked builds (the naive Section III.A oracle) run the heap
-    Dijkstra, which takes the mask directly.
+    ``backend="auto"`` (and ``"scipy"``, the same path) builds with
+    :func:`relax_arcs` unless a ``forbidden`` mask is given; masked
+    builds (the naive Section III.A oracle) run the heap Dijkstra, which
+    takes the mask directly.
     """
     root = check_node_index(root, g.n)
     mask = _forbidden_mask(g.n, forbidden)
@@ -176,7 +314,7 @@ def node_weighted_spt(
         raise GraphError(f"root {root} is in the forbidden set")
     backend = _check_backend(backend)
     if backend != "python" and mask is None:
-        return _node_spt_scipy(g, root)
+        return _node_spt_vectorized(g, root)
     return _node_spt_python(g, root, mask)
 
 
@@ -224,57 +362,54 @@ def node_weighted_dist(
     g: NodeWeightedGraph, root: int, backend: str = "auto"
 ) -> np.ndarray:
     """``node_weighted_spt(g, root, backend=backend).dist``, bit for bit,
-    without building the tree: the scipy solve skips predecessors and
-    the canonical-parent pass (``backend="python"`` still runs the heap
-    builder)."""
+    without the canonical-parent pass (``backend="python"`` still runs
+    the heap builder)."""
     root = check_node_index(root, g.n)
     if _check_backend(backend) == "python":
         return _node_spt_python(g, root, None).dist
-    return _node_solve_scipy(g, root, predecessors=False)[0]
+    return _node_solve(g, root, False)[0]
 
 
-def _node_solve_scipy(
-    g: NodeWeightedGraph, root: int, predecessors: bool
+def _node_solve(
+    g: NodeWeightedGraph, root: int, preds: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One scipy solve from ``root``: ``(dist, scipy predecessors or
-    None)``."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+    """One :func:`relax_arcs` solve from ``root``: ``(dist, pred)``,
+    ``pred`` None unless ``preds``.
 
-    mat = g.to_tailcost_matrix()
-    # The source relays its own packet for free (Section II.C): nudge its
-    # outgoing arcs to ~0 (an exact 0 would read as a missing arc). The
-    # cached matrix is shared — the engine's read lock admits concurrent
-    # builders for different roots, and a concurrent batched solve reads
-    # it too — so it must never be patched in place: clone the data
-    # vector, patch the clone, and wrap it with the shared index arrays
-    # (``copy=False``). The clone is O(m) floats, far below the solve.
-    lo, hi = int(mat.indptr[root]), int(mat.indptr[root + 1])
-    data = mat.data.copy()
-    data[lo:hi] = 1e-300
-    patched = csr_matrix(
-        (data, mat.indices, mat.indptr), shape=mat.shape, copy=False
-    )
-    out = sp_dijkstra(
-        patched,
-        directed=True,
-        indices=root,
-        return_predecessors=predecessors,
-    )
-    dist, pred = out if predecessors else (out, None)
-    # Clip the zero-cost nudges back to exact zeros, in place: scipy's
-    # output is a fresh array and already +inf where unreachable.
-    dist[dist < 1e-250] = 0.0
+    An arc ``u -> v`` weighs ``c_u`` (:meth:`NodeWeightedGraph.arc_tail_costs`),
+    so a walk from the root adds the internal-node costs in path order,
+    the additions the heap Dijkstra makes. The source relays its own
+    packet for free (Section II.C), so the root's neighbours are seeded
+    at 0 instead of relaxing the root's arcs.
+    """
+    dist = np.full(g.n, np.inf)
+    pred = np.full(g.n, -1, dtype=np.int64) if preds else None
+    nb = g.indices[g.indptr[root] : g.indptr[root + 1]]
     dist[root] = 0.0
-    _flush_scipy_counters(dist)
+    dist[nb] = 0.0
+    if preds:
+        pred[nb] = root
+    relax_arcs(g.indptr, g.indices, g.arc_tail_costs(), dist, pred, nb)
+    if _metrics.enabled:
+        _metrics.add("dijkstra.runs", 1)
     return dist, pred
 
 
-def _node_spt_scipy(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
-    dist, pred = _node_solve_scipy(g, root, predecessors=True)
-    parent = pred.astype(np.int64)
-    parent[parent < 0] = -1
+def _node_spt_vectorized(g: NodeWeightedGraph, root: int) -> ShortestPathTree:
+    # The canonical pass parents every reached node but the root, unless
+    # some node lies behind a zero-cost relay (or a relay whose cost is
+    # below the ulp of its distance): only then does the tree need the
+    # solver's own parents. A zero-cost relay makes that likely, so such
+    # graphs track them in the one solve instead of solving again.
+    zero_relays = np.count_nonzero(g.costs == 0.0) > (g.costs[root] == 0.0)
+    dist, parent = _node_solve(g, root, zero_relays)
+    if parent is None:
+        parent = np.full(g.n, -1, dtype=np.int64)
     _canonical_parents(g, root, dist, parent)
+    reached = np.count_nonzero(dist < np.inf) - 1
+    if not zero_relays and np.count_nonzero(parent >= 0) < reached:
+        dist, parent = _node_solve(g, root, True)
+        _canonical_parents(g, root, dist, parent)
     return ShortestPathTree(root, dist, parent)
 
 
@@ -283,126 +418,21 @@ def node_weighted_spt_many(
     sources: Iterable[int],
     backend: str = "auto",
 ) -> dict[int, ShortestPathTree]:
-    """SPTs from every *distinct* source in one batch; ``{root: tree}``.
+    """SPTs from every *distinct* source; ``{root: tree}``.
 
     Batch pricing (``pairwise_vcg_payments``, ``Engine.price_many``)
-    needs one tree per distinct endpoint. Building them one
-    ``node_weighted_spt`` call at a time pays a Python round-trip, an
-    O(m) matrix patch and scipy's per-call validation for every source;
-    this entry point pays them once per block of 32 sources: each block
-    is one ``scipy.sparse.csgraph.dijkstra(indices=...)`` call over an
-    augmented matrix derived from the graph's cached tail-cost CSR. The
-    fixed block bounds the transient memory at O(m + 32 n) whatever the
-    batch size (scipy's dense per-call result would otherwise grow as
-    k x (n + k)).
-
-    ``backend="auto"`` takes this batched scipy path at any graph size
-    (a single source goes through ``node_weighted_spt``);
-    ``backend="python"`` builds each tree with the heap Dijkstra. Each
-    tree is bit-identical — ``dist`` and the canonical ``parent`` — to
-    ``node_weighted_spt(g, s)`` under any backend: the batched path
-    reproduces the per-source floats exactly (see
-    ``_node_spt_many_scipy``), and the parents are canonical. Duplicate
-    sources collapse; an empty iterable returns ``{}``. A ``forbidden``
-    mask is not supported here — masked builds go through the
-    per-source API.
+    needs one tree per distinct endpoint. Each tree is
+    ``node_weighted_spt(g, s, backend=backend)``, so it is bit-identical
+    — ``dist`` and the canonical ``parent`` — under every backend.
+    Duplicate sources collapse; an empty iterable returns ``{}``. A
+    ``forbidden`` mask is not supported here — masked builds go through
+    the per-source API.
     """
     seen: dict[int, None] = {}
     for s in sources:
         seen.setdefault(check_node_index(s, g.n), None)
-    roots = list(seen)
     backend = _check_backend(backend)
-    if not roots:
-        return {}
-    if backend == "python" or len(roots) == 1:
-        return {
-            s: node_weighted_spt(g, s, backend=backend) for s in roots
-        }
-    return _node_spt_many_scipy(g, roots)
-
-
-#: Sources per compiled call in :func:`_node_spt_many_scipy`. scipy
-#: returns a dense ``block x (n + block)`` distance and predecessor
-#: result, so a fixed block keeps a batch's transient memory at
-#: O(m + block * n) however many sources it has. 16 and 64 measured the
-#: same as 32 on the 500-node service instance.
-_SPT_BLOCK = 32
-
-
-def _node_spt_many_scipy(
-    g: NodeWeightedGraph, roots: list[int]
-) -> dict[int, ShortestPathTree]:
-    """All-sources solve in fixed blocks of ``_SPT_BLOCK`` sources.
-
-    The per-source scipy path nudges the *root's* outgoing arcs to
-    ~0 so the source relays its own packet for free (Section II.C).
-    That patch is per-source, so a single shared matrix cannot serve
-    every root directly. Instead, each root ``s`` of a block gets a
-    **virtual source** row ``n + i`` replaying ``s``'s outgoing arcs at
-    the same 1e-300 nudge; the first ``n`` rows of the matrix are the
-    unmodified tail-cost CSR. A shortest path ``n+i -> x`` then performs
-    exactly the float additions of the per-source path ``s -> x`` (first
-    arc 1e-300, then the same tail costs left to right), and paths that
-    re-enter ``s`` at its full cost are never shorter than their
-    shortcut through the virtual row (float addition of non-negatives
-    is monotone), so the returned ``dist`` arrays are bit-identical to
-    the per-source ones. Virtual rows have no incoming arcs, so which
-    other roots share a block changes nothing. Virtual predecessors are
-    mapped back to ``s``.
-
-    Each block is one compiled call over its own augmented matrix; every
-    tree copies its rows out, so no tree pins the block's result, and
-    then gets its canonical-parent pass.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as sp_dijkstra
-
-    n = g.n
-    base = g.to_tailcost_matrix()
-    base_indices = np.asarray(base.indices, dtype=np.int64)
-    base_indptr = np.asarray(base.indptr, dtype=np.int64)
-    out: dict[int, ShortestPathTree] = {}
-    for lo in range(0, len(roots), _SPT_BLOCK):
-        src = np.asarray(roots[lo : lo + _SPT_BLOCK], dtype=np.int64)
-        b = len(src)
-        deg = g.indptr[src + 1] - g.indptr[src]
-        total = int(deg.sum())
-        vidx = np.concatenate(
-            [g.indices[g.indptr[s] : g.indptr[s + 1]] for s in src]
-        ).astype(np.int64, copy=False)
-        data = np.concatenate([base.data, np.full(total, 1e-300)])
-        indices = np.concatenate([base_indices, vidx])
-        indptr = np.concatenate(
-            [base_indptr, base_indptr[-1] + np.cumsum(deg, dtype=np.int64)]
-        )
-        aug = csr_matrix((data, indices, indptr), shape=(n + b, n + b))
-        dist_blk, pred_blk = sp_dijkstra(
-            aug,
-            directed=True,
-            indices=np.arange(n, n + b),
-            return_predecessors=True,
-        )
-        rows = np.arange(b)
-        dist_blk = dist_blk[:, :n]
-        # Clip the zero-cost nudges back to exact zeros (same clip as
-        # the per-source path).
-        dist_blk[dist_blk < 1e-250] = 0.0
-        dist_blk[rows, src] = 0.0
-        # Row i can only reach virtual row n + i: any virtual
-        # predecessor is its own root's.
-        pred = pred_blk[:, :n]
-        parent_blk = np.where(pred >= n, src[:, None], pred)
-        parent_blk[parent_blk < 0] = -1
-        parent_blk[rows, src] = -1
-        for i, s in enumerate(src.tolist()):
-            dist, parent = dist_blk[i].copy(), parent_blk[i].copy()
-            _canonical_parents(g, s, dist, parent)
-            _flush_scipy_counters(dist)
-            out[s] = ShortestPathTree(s, dist, parent)
-    if _metrics.enabled:
-        _metrics.add("dijkstra.batched_runs", 1)
-        _metrics.add("dijkstra.batched_sources", len(roots))
-    return out
+    return {s: node_weighted_spt(g, s, backend=backend) for s in seen}
 
 
 def node_weighted_distance(

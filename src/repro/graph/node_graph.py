@@ -48,7 +48,7 @@ class NodeWeightedGraph:
 
     __slots__ = (
         "n", "costs", "indptr", "indices", "_nx_cache", "_arc_src",
-        "_arc_head_cost", "_tailcost",
+        "_arc_head_cost", "_arc_tail_cost",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], costs) -> None:
@@ -64,7 +64,7 @@ class NodeWeightedGraph:
         self._nx_cache = None
         self._arc_src = None
         self._arc_head_cost = None
-        self._tailcost = None
+        self._arc_tail_cost = None
 
     # -- construction --------------------------------------------------------
 
@@ -136,7 +136,7 @@ class NodeWeightedGraph:
         g._nx_cache = None
         g._arc_src = arc_src
         g._arc_head_cost = None  # cost-dependent, cannot be shared
-        g._tailcost = None
+        g._arc_tail_cost = None
         return g
 
     def with_costs(self, costs) -> "NodeWeightedGraph":
@@ -275,6 +275,21 @@ class NodeWeightedGraph:
             self._arc_head_cost = head
         return self._arc_head_cost
 
+    def arc_tail_costs(self) -> np.ndarray:
+        """Cost of every CSR arc's tail: ``costs[arc_sources()]``, the arc
+        weights of the node model's shortest-path solves (a walk from the
+        root adds its internal-node costs in path order, the additions
+        the heap Dijkstra makes, so ``dist[x]`` never depends on the
+        costs of the endpoints, even in the last ulp — which is what lets
+        the PricingEngine keep a cached tree across an endpoint
+        re-declaration). Cached and read-only, like :meth:`arc_head_costs`.
+        """
+        if self._arc_tail_cost is None:
+            tail = np.repeat(self.costs, self.degrees)
+            tail.setflags(write=False)
+            self._arc_tail_cost = tail
+        return self._arc_tail_cost
+
     def edge_array(self) -> np.ndarray:
         """All undirected edges as an ``(m, 2)`` array with ``u < v`` rows."""
         src = self.arc_sources()
@@ -356,36 +371,6 @@ class NodeWeightedGraph:
             g.add_edges_from(self.edge_iter())
             self._nx_cache = g
         return self._nx_cache
-
-    def to_tailcost_matrix(self) -> "object":
-        """Directed CSR matrix with ``w(u, v) = c_u`` (the tail's cost).
-
-        With the root's outgoing arcs zeroed, a directed walk from the
-        root accumulates exactly the internal-node cost of the path, in
-        path order — the same left-to-right float additions the python
-        Dijkstra performs. So the scipy backend produces bit-identical
-        ``dist`` arrays, and (unlike a transform that needs a correction
-        term) ``dist[x]`` never depends on the costs of the endpoints,
-        even in the last ulp — which is what lets the PricingEngine keep
-        a cached tree across an endpoint re-declaration. Zero costs are
-        nudged to 1e-300 (scipy's CSR treats exact zeros as missing
-        arcs); the nudge is annihilated by the first real addition and
-        clipped after the solve.
-
-        The matrix is cached (the graph is immutable) — per-source and
-        batched Dijkstra calls over the same snapshot reuse one CSR
-        instead of rebuilding it per call. Callers must not mutate it.
-        """
-        if self._tailcost is None:
-            from scipy.sparse import csr_matrix
-
-            data = self.costs[self.arc_sources()].copy()
-            data[data <= 0.0] = 1e-300
-            self._tailcost = csr_matrix(
-                (data, self.indices.copy(), self.indptr.copy()),
-                shape=(self.n, self.n),
-            )
-        return self._tailcost
 
     # -- dunder ---------------------------------------------------------------
 

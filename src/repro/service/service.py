@@ -146,7 +146,7 @@ class PricingService:
         final checkpoint when durable, and closes it.
     workers:
         Threads draining the admission queue. Pricing releases the GIL
-        inside the NumPy/SciPy kernels, so a handful of workers keeps
+        inside the NumPy kernels, so a handful of workers keeps
         the engine busy; more mostly adds queue fairness.
     max_queue:
         Admission-queue capacity. Submits beyond it fail fast with

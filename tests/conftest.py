@@ -103,3 +103,91 @@ def digraph_with_endpoints(draw, **kwargs):
     source = draw(st.integers(0, g.n - 1))
     target = draw(st.integers(0, g.n - 1).filter(lambda t: t != source))
     return g, source, target
+
+
+# ---------------------------------------------------------------------------
+# Deep graphs: hop depth far above Θ(√n), so relaxation solves hand off
+# ---------------------------------------------------------------------------
+
+
+def _grid_edges(rows: int, cols: int) -> list[tuple[int, int]]:
+    edges = [(r * cols + c, r * cols + c + 1)
+             for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c)
+              for r in range(rows - 1) for c in range(cols)]
+    return edges
+
+
+def deep_graphs(seed: int = 0, zero_frac: float = 0.0) -> dict:
+    """Connected node-weighted graphs whose shortest paths run for
+    hundreds of hops: ``{name: graph}``.
+
+    * ``path``: a 300-node path;
+    * ``ladder``: two 150-node rails joined by rungs;
+    * ``grid``: an 18 x 18 grid whose odd rows are walls (cost 1000)
+      with one gap at alternating ends, so cheap paths snake row by row;
+    * ``lollipop``: ``t - r - s`` with a 200-node chain from ``r`` back
+      to ``s`` and an expensive detour ``x`` from the chain's head to
+      ``t``: ``r``'s Algorithm-1 region is the whole chain, seeded at
+      its far end.
+
+    Costs are uniform in [1, 10), with a ``zero_frac`` share set to 0.
+    """
+    rng = np.random.default_rng(seed)
+
+    def costs(n):
+        c = rng.uniform(1.0, 10.0, size=n)
+        c[rng.random(n) < zero_frac] = 0.0
+        return c
+
+    graphs = {}
+    n = 300
+    graphs["path"] = NodeWeightedGraph(
+        n, [(i, i + 1) for i in range(n - 1)], costs(n)
+    )
+    half = 150
+    rails = [(i, i + 1) for i in range(half - 1)]
+    rails += [(half + i, half + i + 1) for i in range(half - 1)]
+    rungs = [(i, half + i) for i in range(0, half, 3)]
+    graphs["ladder"] = NodeWeightedGraph(2 * half, rails + rungs, costs(2 * half))
+    side = 18
+    c = costs(side * side)
+    for r in range(1, side, 2):
+        gap = side - 1 if r % 4 == 1 else 0
+        for col in range(side):
+            if col != gap:
+                c[r * side + col] = 1000.0
+    graphs["grid"] = NodeWeightedGraph(side * side, _grid_edges(side, side), c)
+    chain = 200
+    # t = 0, r = 1, s = 2, chain 3 .. chain + 2, detour x = chain + 3.
+    x = chain + 3
+    edges = [(0, 1), (1, 2), (1, 3), (chain + 2, 2), (3, x), (x, 0)]
+    edges += [(3 + i, 4 + i) for i in range(chain - 1)]
+    c = costs(chain + 4)
+    c[2] = c[x] = 1e4
+    graphs["lollipop"] = NodeWeightedGraph(chain + 4, edges, c)
+    return graphs
+
+
+class count_handoffs:
+    """Context manager: ``with count_handoffs() as seen: ...`` leaves the
+    number of relaxation solves that handed off to scipy in
+    ``seen.count``. Enables the metrics registry for the block."""
+
+    def __enter__(self):
+        from repro.obs.metrics import REGISTRY
+
+        REGISTRY.reset()
+        REGISTRY.enable()
+        self.count = 0
+        return self
+
+    def __exit__(self, *exc):
+        from repro.obs.metrics import REGISTRY
+
+        try:
+            self.count = REGISTRY.snapshot().counters.get("dijkstra.handoffs", 0)
+        finally:
+            REGISTRY.disable()
+            REGISTRY.reset()
+        return False

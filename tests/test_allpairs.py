@@ -19,7 +19,7 @@ from repro.errors import DisconnectedError, InvalidGraphError, MonopolyError
 from repro.graph import generators as gen
 from repro.graph.node_graph import NodeWeightedGraph
 
-from conftest import biconnected_graphs
+from conftest import biconnected_graphs, count_handoffs, deep_graphs
 
 
 class TestTrafficMatrix:
@@ -155,7 +155,7 @@ class TestPairwisePayments:
     @given(biconnected_graphs(max_nodes=24))
     @settings(deadline=None)
     def test_batched_bit_identical_to_python_oracle(self, g):
-        """Full-stack bit-identity: batched scipy SPTs + vectorized
+        """Full-stack bit-identity: relaxation-built SPTs + vectorized
         Algorithm-1 kernels against the pure-python scalar oracle."""
         pairs = [(0, g.n - 1), (g.n - 1, 0), (1, g.n // 2)]
         pairs = [(i, j) for i, j in pairs if i != j]
@@ -229,9 +229,9 @@ class TestAllSourcesBatch:
         pairs = [(i, target) for i in range(g.n)]
         assert spt_roots(pairs) == {target}
 
-        def alg1(i, j):
+        def alg1(i, j, backend="auto"):
             return fast_vcg_payments(
-                g, i, j, on_monopoly=on_monopoly
+                g, i, j, on_monopoly=on_monopoly, backend=backend
             ).to_unicast_payment()
 
         def batch(i, j):
@@ -241,6 +241,11 @@ class TestAllSourcesBatch:
         got = price_sources(g, target, range(g.n), on_monopoly)
         assert {(i, target): answer_key(o) for i, o in got.items()} == want
         assert _outcomes(batch, pairs) == want
+        # The heap Dijkstra and the scalar Algorithm-1 kernels. Behind a
+        # zero-cost relay a tree keeps its solver's parents (see
+        # ``_canonical_parents``), so the heap may pick another LCP.
+        if g.n and g.costs.min() > 0.0:
+            assert _outcomes(lambda i, j: alg1(i, j, "python"), pairs) == want
         if naive:
             assert _outcomes(
                 lambda i, j: vcg_unicast_payments(
@@ -287,7 +292,8 @@ class TestAllSourcesBatch:
             self._assert_batch_exact(g, target)
 
     def test_degree_zero_nodes_and_zero_cost_relays(self):
-        # Zero-cost relays need the CSR zero nudge in the depth solves.
+        # Zero-cost relays: zero arc weights and zero seeds in the depth
+        # solves.
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 2),
                  (5, 6), (6, 3), (4, 7)]
         costs = [0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 3.0]
@@ -314,6 +320,20 @@ class TestAllSourcesBatch:
         g = NodeWeightedGraph(side * side, edges, np.ones(side * side))
         for target in (0, 14, side * side - 1):
             self._assert_batch_exact(g, target)
+
+    @pytest.mark.parametrize("zero_frac", [0.0, 0.3])
+    @pytest.mark.parametrize("name", ["ladder", "grid", "lollipop"])
+    def test_deep_graphs_hand_off(self, name, zero_frac):
+        # Depth solves over subtrees hundreds of hops deep outrun the
+        # relaxation round bound and finish in scipy; the answers are
+        # still the scalar Algorithm 1's, bit for bit.
+        g = deep_graphs(seed=3, zero_frac=zero_frac)[name]
+        with count_handoffs() as seen:
+            got = price_sources(g, 0, range(g.n), on_monopoly="inf")
+        assert seen.count > 0
+        for i in range(0, g.n, 7):
+            want = fast_vcg_payments(g, i, 0, on_monopoly="inf", backend="python")
+            assert answer_key(got[i]) == answer_key(want.to_unicast_payment()), i
 
     @given(rough_graphs(max_nodes=20), st.data())
     @settings(max_examples=60, deadline=None)

@@ -17,7 +17,7 @@ from repro.graph.dijkstra import (
     node_weighted_spt_many,
 )
 
-from conftest import biconnected_graphs, robust_digraphs
+from conftest import biconnected_graphs, count_handoffs, deep_graphs, robust_digraphs
 
 
 def nx_node_weighted_dists(g, root):
@@ -247,20 +247,35 @@ class TestNodeWeightedSptMany:
         with pytest.raises(ValueError, match="backend"):
             node_weighted_spt_many(g, [0], backend="cuda")
 
-    def test_batched_metrics(self):
+    def test_handoff_metrics(self):
+        from repro.graph.dijkstra import _handoff_rounds
+        from repro.graph.node_graph import NodeWeightedGraph
         from repro.obs.metrics import REGISTRY
 
-        g = gen.random_biconnected_graph(80, seed=6)
+        g = self._udg(120, 6)
+        n = 400
+        path = NodeWeightedGraph(n, [(i, i + 1) for i in range(n - 1)], np.ones(n))
         REGISTRY.reset()
         REGISTRY.enable()
         try:
-            node_weighted_spt_many(g, [0, 1, 2], backend="scipy")
-            snap = REGISTRY.snapshot()
+            node_weighted_spt_many(g, [0, 1, 2])
+            shallow = REGISTRY.snapshot()
+            node_weighted_spt(path, 0)
+            deep = REGISTRY.snapshot()
         finally:
             REGISTRY.disable()
             REGISTRY.reset()
-        assert snap.counters["dijkstra.batched_runs"] == 1
-        assert snap.counters["dijkstra.batched_sources"] == 3
+        assert shallow.counters["dijkstra.runs"] == 3
+        assert 3 <= shallow.counters["dijkstra.relax_rounds"] < 3 * _handoff_rounds(120)
+        assert "dijkstra.handoffs" not in shallow.counters
+        # A 400-hop path outruns the round bound and finishes in scipy.
+        assert deep.counters["dijkstra.handoffs"] == 1
+        assert deep.counters["dijkstra.scipy_runs"] == 1
+        assert (
+            deep.counters["dijkstra.relax_rounds"]
+            - shallow.counters["dijkstra.relax_rounds"]
+            == _handoff_rounds(n)
+        )
 
     @staticmethod
     def _udg(n, seed, isolated=False):
@@ -281,9 +296,8 @@ class TestNodeWeightedSptMany:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_all_sources_cross_blocks_exactly(self, seed):
         from repro.core.allpairs import pairwise_vcg_payments
-        from repro.graph.dijkstra import _SPT_BLOCK
 
-        n = 3 * _SPT_BLOCK + 9 + seed  # 3 full blocks and a partial one
+        n = 105 + seed
         g = self._udg(n, seed, isolated=True)
         assert g.indptr[n] == g.indptr[n - 1]  # the last node has degree 0
         sources = [5, *range(n), 5]  # a duplicate at both ends
@@ -294,14 +308,14 @@ class TestNodeWeightedSptMany:
             assert many[s].root == s
             assert many[s].dist.tobytes() == per.dist.tobytes()
             assert np.array_equal(many[s].parent, per.parent)
-            # A surviving tree must not pin its block's scipy result.
+            # A surviving tree must not pin a view of a larger result.
             assert many[s].dist.base is None and many[s].parent.base is None
         assert np.all(many[n - 1].parent == -1)
 
         target = 0
         reach = many[target].dist
         pairs = [(s, target) for s in range(1, n) if np.isfinite(reach[s])]
-        assert len(pairs) > 2 * _SPT_BLOCK
+        assert len(pairs) > 64
         batched = pairwise_vcg_payments(g, pairs)
         oracle = pairwise_vcg_payments(g, pairs, backend="numpy")
         for key in pairs:
@@ -312,7 +326,7 @@ class TestNodeWeightedSptMany:
         import tracemalloc
 
         g = self._udg(1000, 4)
-        node_weighted_spt_many(g, [0, 1])  # import scipy, cache the CSR
+        node_weighted_spt_many(g, [0, 1])  # cache the arc arrays
         tracemalloc.start()
         try:
             trees = node_weighted_spt_many(g, range(g.n))
@@ -320,31 +334,33 @@ class TestNodeWeightedSptMany:
         finally:
             tracemalloc.stop()
         assert len(trees) == g.n
-        # The kept trees are ~16 MiB; a single all-sources solve held a
-        # dense n x 2n result on top of them (~24 MiB at n = 1000).
+        # The kept trees are ~16 MiB; a single all-sources solve would
+        # hold a dense n x 2n result on top of them (~24 MiB at n = 1000).
         assert (peak - current) / 2**20 < 8.0
 
 
 class TestConcurrentSciPyBuilds:
-    """The cached tail-cost CSR is shared across threads (the pricing
-    engine's read lock admits concurrent builders), so per-root patching
-    must never mutate it: a thread solving root A while another patches
-    root B would see B's outgoing arcs zeroed and return trees cheaper
-    than any real path."""
+    """The cached tail-cost arc weights are shared across threads (the
+    pricing engine's read lock admits concurrent builders), so no build
+    may patch them: a thread solving root A while another patches root
+    B would see B's outgoing arcs zeroed and return trees cheaper than
+    any real path."""
 
-    def test_cached_matrix_stays_immutable_across_builds(self):
+    def test_cached_arc_weights_stay_immutable_across_builds(self):
         g = gen.random_biconnected_graph(200, seed=17)
-        mat = g.to_tailcost_matrix()
-        before = mat.data.copy()
+        weights = g.arc_tail_costs()
+        before = weights.copy()
         for root in (0, 5, 9):
             node_weighted_spt(g, root, backend="scipy")
-        assert np.array_equal(mat.data, before)
+        assert g.arc_tail_costs() is weights
+        assert not weights.flags.writeable
+        assert np.array_equal(weights, before)
 
     def test_concurrent_builds_bit_identical_to_serial(self):
         import threading
 
         g = gen.random_biconnected_graph(200, seed=23)
-        g.to_tailcost_matrix()  # build the shared CSR once up front
+        g.arc_tail_costs()  # build the shared arc weights once up front
         roots = list(range(16))
         serial = {r: node_weighted_spt(g, r, backend="scipy") for r in roots}
 
@@ -377,8 +393,119 @@ class TestConcurrentSciPyBuilds:
 
 class TestCanonicalTrees:
     """Every node-model tree is canonical: each parent is the
-    smallest-id tight neighbour, so the python, scipy and batched
-    builds agree on ``parent`` even when equal-cost paths abound."""
+    smallest-id tight neighbour, so the heap and relaxation builds agree
+    on ``parent`` even when equal-cost paths abound. Behind zero-cost
+    relays, where a tree keeps its solver's parents, every parent is
+    still tight and the tree acyclic."""
+
+    @staticmethod
+    def _assert_tight_acyclic(g, root, dist, parent):
+        w = g.costs.copy()
+        w[root] = 0.0
+        for x in range(g.n):
+            if x == root or dist[x] == np.inf:
+                assert parent[x] == -1, x
+                continue
+            p = parent[x]
+            assert g.has_edge(int(p), x) and dist[x] == dist[p] + w[p], x
+            seen = set()
+            while x != root:
+                assert x not in seen
+                seen.add(x)
+                x = parent[x]
+
+    @classmethod
+    def _assert_heap_identical(cls, g, roots, zero_costs=False):
+        """Every relaxation build against the heap Dijkstra: ``dist``
+        bit for bit, and ``parent`` too unless zero costs allow another
+        tight tree (then both trees are checked tight and acyclic)."""
+        from repro.graph.dijkstra import _node_solve
+
+        for root in roots:
+            py = node_weighted_spt(g, root, backend="python")
+            dist, pred = _node_solve(g, root, True)
+            assert dist.tobytes() == py.dist.tobytes(), root
+            cls._assert_tight_acyclic(g, root, dist, pred)
+            for backend in ("auto", "scipy"):
+                vec = node_weighted_spt(g, root, backend=backend)
+                assert vec.dist.tobytes() == py.dist.tobytes(), root
+                if zero_costs:
+                    cls._assert_tight_acyclic(g, root, vec.dist, vec.parent)
+                    cls._assert_tight_acyclic(g, root, py.dist, py.parent)
+                else:
+                    assert np.array_equal(vec.parent, py.parent), root
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernel_zero_cost_relays(self, seed):
+        g = gen.random_biconnected_graph(60, extra_edge_prob=0.1, seed=seed)
+        rng = np.random.default_rng(seed)
+        costs = rng.integers(0, 3, size=g.n).astype(float)  # a third are 0
+        self._assert_heap_identical(g.with_costs(costs), range(g.n), True)
+
+    def test_kernel_integer_ties_on_a_grid(self):
+        from conftest import _grid_edges
+        from repro.graph.node_graph import NodeWeightedGraph
+
+        g = NodeWeightedGraph(64, _grid_edges(8, 8), np.ones(64))
+        self._assert_heap_identical(g, range(g.n))
+
+    def test_kernel_disconnected_degree_zero_and_tiny(self):
+        from repro.graph.node_graph import NodeWeightedGraph
+
+        # Components {0..4} and {5, 6, 7}; nodes 8 and 9 have degree 0.
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3),
+                 (5, 6), (6, 7), (7, 5)]
+        g = NodeWeightedGraph(10, edges, np.arange(1.0, 11.0))
+        self._assert_heap_identical(g, range(g.n))
+        for n in (1, 2, 3):
+            for edges in ([], [(0, 1)], [(0, 1), (1, 2)],
+                          [(0, 1), (1, 2), (2, 0)]):
+                if all(v < n for e in edges for v in e):
+                    for costs in (np.arange(1.0, n + 1.0), np.zeros(n)):
+                        g = NodeWeightedGraph(n, edges, costs)
+                        self._assert_heap_identical(g, range(n), True)
+
+    @pytest.mark.parametrize("zero_frac", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("name", ["path", "ladder", "grid", "lollipop"])
+    def test_deep_graphs_hand_off(self, name, zero_frac):
+        # Hundreds of hops outrun the relaxation round bound: the solve
+        # finishes in scipy, seeded from its labels with zero weights and
+        # zero labels passed as they are, and still matches the heap.
+        g = deep_graphs(seed=1, zero_frac=zero_frac)[name]
+        roots = [0, g.n // 2, g.n - 1]
+        with count_handoffs() as seen:
+            for root in roots:
+                node_weighted_spt(g, root)
+        assert seen.count == len(roots)
+        self._assert_heap_identical(g, roots, zero_costs=zero_frac > 0.0)
+
+    def test_relay_below_the_ulp_keeps_the_solver_parent(self):
+        # Node 3's one predecessor, 2, costs 1: below the ulp of
+        # dist[2] = 1e17, so 2 is not strictly closer than 3 and the
+        # canonical pass leaves 3 to the solver's parent, with no
+        # zero-cost relay in the graph.
+        from repro.graph.node_graph import NodeWeightedGraph
+
+        g = NodeWeightedGraph(4, [(0, 1), (1, 2), (2, 3)], [1.0, 1e17, 1.0, 1.0])
+        for backend in ("python", "auto"):
+            spt = node_weighted_spt(g, 0, backend=backend)
+            assert spt.dist[3] == spt.dist[2] == 1e17
+            assert spt.parent.tolist() == [-1, 0, 1, 2]
+
+    def test_scipy_keeps_explicit_zero_arcs(self):
+        # What the hand-off relies on to pass zeros unnudged: an explicit
+        # 0 in CSR data is a zero-weight arc to scipy, not a missing one.
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        mat = csr_matrix(
+            (np.array([0.0, 0.0, 1.0]), np.array([1, 2, 2]), np.array([0, 2, 3, 3])),
+            shape=(3, 3),
+        )
+        assert mat.nnz == 3
+        dist, pred = dijkstra(mat, directed=True, indices=0, return_predecessors=True)
+        assert dist.tolist() == [0.0, 0.0, 0.0]
+        assert pred.tolist()[1:] == [0, 0]
 
     @pytest.mark.parametrize("n", [20, 100])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -424,7 +551,7 @@ class TestCanonicalTrees:
         g = NodeWeightedGraph(
             5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)], [0.0] * 5
         )
-        for backend in ("python", "scipy"):
+        for backend in ("python", "auto"):
             spt = node_weighted_spt(g, 0, backend=backend)
             for x in range(1, 5):
                 path = spt.path_from_root(x)

@@ -19,7 +19,7 @@ from repro.graph.avoiding import avoiding_distance
 from repro.graph.dijkstra import node_weighted_spt
 from repro.graph.node_graph import NodeWeightedGraph
 
-from conftest import graph_with_endpoints
+from conftest import count_handoffs, deep_graphs, graph_with_endpoints
 
 
 class TestAgainstOracle:
@@ -193,14 +193,56 @@ class TestVectorizedBackend:
             self._assert_identical(scalar, vec)
 
     def test_scipy_backend_close(self, random_graph):
-        """The scipy SPT may break distance ties differently, so the
-        full-auto backend is compared approximately, not bitwise."""
+        """``auto`` (and ``scipy``, the same path) builds its trees with
+        the relaxation kernel; canonical parents make it exact."""
         g = random_graph
         a = fast_vcg_payments(g, 0, g.n - 1, backend="python")
-        b = fast_vcg_payments(g, 0, g.n - 1, backend="auto")
-        assert a.lcp_cost == pytest.approx(b.lcp_cost)
-        for k, p in a.payments.items():
-            assert b.payments[k] == pytest.approx(p, abs=1e-7)
+        for backend in ("auto", "scipy"):
+            self._assert_identical(
+                a, fast_vcg_payments(g, 0, g.n - 1, backend=backend)
+            )
+
+    def test_region_kernel_zero_costs_ties_and_tiny(self):
+        """The vectorized region solve against the scalar Dijkstra on
+        zero-cost relays and integer ties (exact sums, so any tight
+        witness gives the same answer), and on graphs of 2-3 nodes."""
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n = int(rng.integers(5, 30))
+            g = gen.random_biconnected_graph(
+                n, extra_edge_prob=float(rng.uniform(0, 0.4)),
+                seed=int(rng.integers(2**31)),
+            )
+            g = g.with_costs(rng.integers(0, 3, size=n).astype(float))
+            s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+            scalar = fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                       backend="python")
+            vec = fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                    backend="numpy")
+            self._assert_identical(scalar, vec)
+        for edges in ([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 0)]):
+            n = 1 + max(v for e in edges for v in e)
+            g = NodeWeightedGraph(n, edges, np.zeros(n))
+            for s in range(n):
+                for t in range(n):
+                    self._assert_identical(
+                        fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                          backend="python"),
+                        fast_vcg_payments(g, s, t, on_monopoly="inf",
+                                          backend="numpy"),
+                    )
+
+    @pytest.mark.parametrize("zero_frac", [0.0, 0.3])
+    def test_deep_region_hands_off(self, zero_frac):
+        """A 200-node region seeded at its far end outruns the
+        relaxation round bound and finishes in scipy, still exact."""
+        g = deep_graphs(seed=5, zero_frac=zero_frac)["lollipop"]
+        scalar = fast_vcg_payments(g, 2, 0, backend="python")
+        with count_handoffs() as seen:
+            vec = fast_vcg_payments(g, 2, 0, backend="numpy")
+        assert seen.count == 1
+        self._assert_identical(scalar, vec)
+        assert scalar.stats["region_nodes"] == 200
 
     def test_bad_backend(self, small_graph):
         with pytest.raises(ValueError, match="backend"):

@@ -225,15 +225,16 @@ class TestEquality:
 
 class TestTailCostTransform:
     @given(biconnected_graphs(max_nodes=16))
-    def test_tailcost_matrix_weights(self, g):
-        mat = g.to_tailcost_matrix().tocoo()
-        for u, _v, w in zip(mat.row, mat.col, mat.data):
-            assert w == (g.costs[u] if g.costs[u] > 0.0 else 1e-300)
+    def test_arc_tail_cost_weights(self, g):
+        weights = g.arc_tail_costs()
+        for u, w in zip(g.arc_sources(), weights):
+            assert w == g.costs[u]  # zero costs stay exact zeros
+        assert not weights.flags.writeable
 
     def test_directed_with_both_orientations(self, random_graph):
-        mat = random_graph.to_tailcost_matrix()
-        assert mat.shape == (random_graph.n, random_graph.n)
-        assert mat.nnz == 2 * random_graph.num_edges
+        weights = random_graph.arc_tail_costs()
+        assert weights.shape == (2 * random_graph.num_edges,)
+        assert weights.shape == random_graph.indices.shape
 
     def test_backends_bit_identical(self, random_graph):
         # The whole point of the tail-cost transform: the compiled
