@@ -2,8 +2,9 @@
 
 Node model: the pure-Python heap against the numpy frontier relaxation
 (``relax_arcs``) on both sides of its hand-off — the 500-node service
-deployment, which settles in a few rounds, and a 2000-hop path, which
-passes the Θ(√n) round bound and finishes in one scipy Dijkstra. Link
+deployment, which settles in a few rounds, and two deep graphs that pass
+the Θ(√n) round bound and finish in one scipy Dijkstra: a 2000-hop path
+and a 60x60 grid, the 2-D case the bound is sized for. Link
 model: the heap against the compiled scipy backend. Each side re-checks
 exact agreement on its instance.
 """
@@ -36,6 +37,16 @@ def deep_instance():
 
 
 @pytest.fixture(scope="module")
+def grid_instance():
+    """A 60x60 grid rooted at a corner: 118 rounds against a bound of 68."""
+    k = 60
+    edges = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    edges += [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    costs = np.random.default_rng(2004).uniform(1.0, 10.0, k * k)
+    return NodeWeightedGraph(k * k, edges, costs)
+
+
+@pytest.fixture(scope="module")
 def link_instance():
     return gen.random_robust_digraph(400, extra_arc_prob=0.02, seed=321)
 
@@ -62,6 +73,13 @@ def test_node_spt_deep(benchmark, deep_instance, backend):
     assert _handoffs(deep_instance, backend) == (backend == "auto")
 
 
+@pytest.mark.parametrize("backend", ["python", "auto"])
+def test_node_spt_grid(benchmark, grid_instance, backend):
+    spt = benchmark(lambda: node_weighted_spt(grid_instance, 0, backend=backend))
+    assert np.isfinite(spt.dist).all()
+    assert _handoffs(grid_instance, backend) == (backend == "auto")
+
+
 def test_link_spt_python(benchmark, link_instance):
     spt = benchmark(
         lambda: link_weighted_spt(link_instance, 0, direction="to", backend="python")
@@ -77,7 +95,7 @@ def test_link_spt_scipy(benchmark, link_instance):
 
 
 def test_backends_agree_on_bench_instances(
-    benchmark, udg_instance, deep_instance, link_instance
+    benchmark, udg_instance, deep_instance, grid_instance, link_instance
 ):
     a = benchmark.pedantic(
         lambda: node_weighted_spt(udg_instance, 0, backend="python"),
@@ -85,7 +103,8 @@ def test_backends_agree_on_bench_instances(
         iterations=1,
     )
     deep = node_weighted_spt(deep_instance, 0, backend="python")
-    for g, heap in ((udg_instance, a), (deep_instance, deep)):
+    grid = node_weighted_spt(grid_instance, 0, backend="python")
+    for g, heap in ((udg_instance, a), (deep_instance, deep), (grid_instance, grid)):
         vec = node_weighted_spt(g, 0)
         assert vec.dist.tobytes() == heap.dist.tobytes()
         assert np.array_equal(vec.parent, heap.parent)
